@@ -11,84 +11,6 @@
 
 namespace nmad::core {
 
-TwoNodePlatform::TwoNodePlatform(PlatformConfig config)
-    : config_(std::move(config)), world_(std::make_unique<drv::SimWorld>()) {
-  NMAD_ASSERT(!config_.links.empty(), "platform needs at least one link");
-
-  const drv::NodeId na = world_->add_node(config_.host_a);
-  const drv::NodeId nb = world_->add_node(config_.host_b);
-  for (const auto& nic : config_.links) {
-    auto [ea, eb] = world_->add_link(na, nb, nic);
-    rails_a_.push_back(ea);
-    rails_b_.push_back(eb);
-  }
-
-  drv::SimWorld* w = world_.get();
-  auto clock = [w] { return w->now(); };
-  auto defer = [w](std::function<void()> fn) {
-    w->engine().schedule(0, std::move(fn));
-  };
-  auto progress = [w](const std::function<bool()>& pred) {
-    w->engine().run_until(pred);
-  };
-  auto timer = [w](sim::TimeNs delay, std::function<void()> fn) {
-    w->engine().schedule(delay, std::move(fn));
-  };
-  session_a_ = std::make_unique<Session>("A", clock, defer, progress, timer);
-  session_b_ = std::make_unique<Session>("B", clock, defer, progress, timer);
-
-  gate_ab_ = session_a_->connect(
-      std::vector<drv::Driver*>(rails_a_.begin(), rails_a_.end()),
-      config_.strategy, config_.strat_cfg);
-  gate_ba_ = session_b_->connect(
-      std::vector<drv::Driver*>(rails_b_.begin(), rails_b_.end()),
-      config_.strategy, config_.strat_cfg);
-
-  if (config_.sampled_ratios) {
-    std::vector<double> weights;
-    bool from_cache = false;
-    if (!config_.sampling_cache_path.empty()) {
-      if (auto table = sampling::RatioTable::load(config_.sampling_cache_path);
-          table && table->samples().size() == config_.links.size()) {
-        weights = table->weights();
-        from_cache = true;
-      }
-    }
-    if (!from_cache) {
-      const auto samples = sampling::sample_rails(config_.host_a, config_.host_b,
-                                                  config_.links);
-      sampling::RatioTable table(samples);
-      weights = table.weights();
-      if (!config_.sampling_cache_path.empty()) {
-        // Best effort: an unwritable cache only costs re-measuring next run.
-        (void)table.save(config_.sampling_cache_path);
-      }
-    }
-    session_a_->scheduler().gate(gate_ab_).set_ratios(weights);
-    session_b_->scheduler().gate(gate_ba_).set_ratios(weights);
-  }
-
-  mode_ = resolve_progress_mode(config_.progress_mode);
-  if (mode_ == ProgressMode::kThreaded) {
-    const std::size_t threads = config_.progress_threads != 0
-                                    ? config_.progress_threads
-                                    : config_.links.size();
-    session_a_->start_threaded(w->progress_mutex(), &w->engine(), threads,
-                               nullptr, nullptr, config_.submit_ring_capacity,
-                               config_.completion_ring_capacity);
-    session_b_->start_threaded(w->progress_mutex(), &w->engine(), threads,
-                               nullptr, nullptr, config_.submit_ring_capacity,
-                               config_.completion_ring_capacity);
-  }
-}
-
-TwoNodePlatform::~TwoNodePlatform() {
-  // Engine events cross sessions, so every progress thread must stop
-  // before either session's scheduler is destroyed.
-  session_a_->stop_threaded();
-  session_b_->stop_threaded();
-}
-
 PlatformConfig paper_platform(std::string strategy, strat::StrategyConfig cfg) {
   PlatformConfig config;
   config.links = {netmodel::myri10g(), netmodel::quadrics_qm500()};
@@ -110,6 +32,10 @@ MultiNodePlatform::MultiNodePlatform(MultiNodeConfig config)
               "hosts must be empty or one label per node");
   mode_ = resolve_progress_mode(config_.progress_mode);
   chaos_next_seed_ = config_.chaos_seed;
+  if (config_.chaos && config_.chaos->flap.enabled && !config_.chaos->clock) {
+    drv::SimWorld* w = world_.get();
+    config_.chaos->clock = [w] { return w->now(); };
+  }
 
   node_ids_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -265,7 +191,10 @@ MultiNodePlatform::~MultiNodePlatform() {
 }
 
 bool MultiNodePlatform::run_until(const std::function<bool()>& pred) {
-  NMAD_ASSERT(mode_ == ProgressMode::kSerial,
+  // The sessions' live state, not the construction-time mode: a threaded
+  // world whose sessions all stop_threaded() falls back to serial.
+  NMAD_ASSERT(std::none_of(sessions_.begin(), sessions_.end(),
+                           [](const auto& s) { return s && s->threaded(); }),
               "run_until drives the engine from the app thread (serial only)");
   for (int round = 0; round < 1000; ++round) {
     if (world_->engine().run_until(pred)) return true;
@@ -314,6 +243,61 @@ void MultiNodePlatform::register_metrics(obs::MetricsRegistry& registry) {
     if (sessions_[i] == nullptr) continue;  // lazy world: never touched
     sessions_[i]->register_metrics(registry, "n" + std::to_string(i) + ".");
   }
+}
+
+// --- TwoNodePlatform --------------------------------------------------------
+
+namespace {
+
+MultiNodeConfig two_node_config(const PlatformConfig& config) {
+  NMAD_ASSERT(!config.links.empty(), "platform needs at least one link");
+  NMAD_ASSERT(config.host_a == config.host_b,
+              "two-node platform needs host_a == host_b");
+  MultiNodeConfig m;
+  m.nodes = 2;
+  m.host = config.host_a;
+  m.links = config.links;
+  m.strategy = config.strategy;
+  m.strat_cfg = config.strat_cfg;
+  m.progress_mode = config.progress_mode;
+  m.progress_threads = config.progress_threads;
+  m.submit_ring_capacity = config.submit_ring_capacity;
+  m.completion_ring_capacity = config.completion_ring_capacity;
+  return m;
+}
+
+}  // namespace
+
+TwoNodePlatform::TwoNodePlatform(PlatformConfig config)
+    : config_(std::move(config)), platform_(two_node_config(config_)) {
+  if (!config_.sampled_ratios) return;
+  std::vector<double> weights;
+  bool from_cache = false;
+  if (!config_.sampling_cache_path.empty()) {
+    if (auto table = sampling::RatioTable::load(config_.sampling_cache_path);
+        table && table->samples().size() == config_.links.size()) {
+      weights = table->weights();
+      from_cache = true;
+    }
+  }
+  if (!from_cache) {
+    const auto samples =
+        sampling::sample_rails(config_.host_a, config_.host_b, config_.links);
+    sampling::RatioTable table(samples);
+    weights = table.weights();
+    if (!config_.sampling_cache_path.empty()) {
+      // Best effort: an unwritable cache only costs re-measuring next run.
+      (void)table.save(config_.sampling_cache_path);
+    }
+  }
+  // Threaded sessions started their progress threads when they were
+  // created, so the ratios go in under the world progress mutex.
+  std::unique_lock<std::mutex> guard;
+  if (progress_mode() == ProgressMode::kThreaded) {
+    guard = std::unique_lock<std::mutex>(world().progress_mutex());
+  }
+  a().scheduler().gate(gate_ab()).set_ratios(weights);
+  b().scheduler().gate(gate_ba()).set_ratios(weights);
 }
 
 }  // namespace nmad::core

@@ -1,11 +1,10 @@
-// TwoNodePlatform: convenience assembly of the paper's experimental setup —
-// two hosts, N heterogeneous NIC links between them, one Session per host,
-// and one gate per direction, all over one simulated world.
+// MultiNodePlatform: the one assembler of simulated worlds — N hosts in a
+// full, sparse or lazily established mesh, one Session per host, one gate
+// per peer bundling the edge's multi-rail link set, optionally with every
+// rail endpoint wrapped in a ChaosDriver.
 //
-// MultiNodePlatform generalizes it beyond the paper's testbed: N hosts in a
-// full mesh (one Session per host, one gate per peer, the same multi-rail
-// link set on every edge), optionally with every rail endpoint wrapped in a
-// ChaosDriver — the topology the collectives layer (src/coll/) runs on.
+// TwoNodePlatform is the paper's setup (§3.1) as a view over a two-node
+// MultiNodePlatform; its only logic of its own is boot-time sampling.
 //
 // These are the objects benchmarks, tests and examples construct; they are
 // equivalent to hand-assembling a SimWorld, drivers and Sessions.
@@ -29,6 +28,8 @@
 namespace nmad::core {
 
 struct PlatformConfig {
+  /// Host profiles of the two nodes; must be equal (TwoNodePlatform runs
+  /// on a MultiNodePlatform, whose nodes share one profile).
   netmodel::HostProfile host_a{};
   netmodel::HostProfile host_b{};
   /// One NIC profile per rail connecting the two hosts.
@@ -59,46 +60,6 @@ struct PlatformConfig {
   /// size raise these instead of spinning on backpressure.
   std::size_t submit_ring_capacity = 0;
   std::size_t completion_ring_capacity = 0;
-};
-
-class TwoNodePlatform {
- public:
-  explicit TwoNodePlatform(PlatformConfig config);
-  ~TwoNodePlatform();
-  TwoNodePlatform(const TwoNodePlatform&) = delete;
-  TwoNodePlatform& operator=(const TwoNodePlatform&) = delete;
-
-  [[nodiscard]] Session& a() noexcept { return *session_a_; }
-  [[nodiscard]] Session& b() noexcept { return *session_b_; }
-  /// Gate id of a's gate towards b (and vice versa); both are 0.
-  [[nodiscard]] GateId gate_ab() const noexcept { return gate_ab_; }
-  [[nodiscard]] GateId gate_ba() const noexcept { return gate_ba_; }
-
-  [[nodiscard]] drv::SimWorld& world() noexcept { return *world_; }
-  [[nodiscard]] sim::TimeNs now() const noexcept { return world_->now(); }
-  [[nodiscard]] const PlatformConfig& config() const noexcept { return config_; }
-  /// The mode the platform actually runs (config resolved against the
-  /// NMAD_PROGRESS_MODE environment): kSerial or kThreaded.
-  [[nodiscard]] ProgressMode progress_mode() const noexcept { return mode_; }
-
-  /// Rail endpoints on each side, in link order.
-  [[nodiscard]] const std::vector<drv::SimDriver*>& rails_a() const noexcept {
-    return rails_a_;
-  }
-  [[nodiscard]] const std::vector<drv::SimDriver*>& rails_b() const noexcept {
-    return rails_b_;
-  }
-
- private:
-  PlatformConfig config_;
-  ProgressMode mode_ = ProgressMode::kSerial;
-  std::unique_ptr<drv::SimWorld> world_;
-  std::vector<drv::SimDriver*> rails_a_;
-  std::vector<drv::SimDriver*> rails_b_;
-  std::unique_ptr<Session> session_a_;
-  std::unique_ptr<Session> session_b_;
-  GateId gate_ab_ = 0;
-  GateId gate_ba_ = 0;
 };
 
 /// The paper's platform (§3.1): Myri-10G + Quadrics QM500 between two
@@ -151,9 +112,10 @@ struct MultiNodeConfig {
   /// of the full mesh's O(N^2). See docs/SCALING.md for the cost model.
   bool lazy = false;
   /// When set, every rail endpoint is wrapped in a ChaosDriver with this
-  /// fault configuration (seeded from chaos_seed). The platform's progress
-  /// paths then flush the chaos windows on quiescence, exactly like the
-  /// two-party chaos tests.
+  /// fault configuration (seeded from chaos_seed, one seed per endpoint in
+  /// establishment order). The platform's progress paths then flush the
+  /// chaos windows on quiescence. Flap windows without a clock run on the
+  /// world's virtual clock.
   std::optional<drv::ChaosConfig> chaos;
   std::uint64_t chaos_seed = 1;
 };
@@ -232,6 +194,12 @@ class MultiNodePlatform {
   [[nodiscard]] drv::SimDriver& sim_endpoint(std::size_t node,
                                              std::size_t peer,
                                              std::size_t link);
+  /// Every raw simulated endpoint of node `node` on edge {node, peer}, in
+  /// link order; empty when the edge is not (yet) established.
+  [[nodiscard]] const std::vector<drv::SimDriver*>& sim_endpoints(
+      std::size_t node, std::size_t peer) const noexcept {
+    return sim_endpoint_[node][peer];
+  }
   /// Hard-kill both endpoints of one physical link of edge {i, j}.
   void kill_link(std::size_t i, std::size_t j, std::size_t link);
 
@@ -274,6 +242,40 @@ class MultiNodePlatform {
   std::size_t lazy_edges_ = 0;
   obs::Counter sessions_established_;
   obs::Counter sessions_lazy_created_;
+};
+
+/// A two-node MultiNodePlatform under the paper's two-party names: a() is
+/// node 0, b() node 1.
+class TwoNodePlatform {
+ public:
+  explicit TwoNodePlatform(PlatformConfig config);
+
+  [[nodiscard]] Session& a() { return platform_.session(0); }
+  [[nodiscard]] Session& b() { return platform_.session(1); }
+  /// Gate id of a's gate towards b (and vice versa); both are 0.
+  [[nodiscard]] GateId gate_ab() const noexcept { return platform_.gate(0, 1); }
+  [[nodiscard]] GateId gate_ba() const noexcept { return platform_.gate(1, 0); }
+
+  [[nodiscard]] drv::SimWorld& world() noexcept { return platform_.world(); }
+  [[nodiscard]] sim::TimeNs now() const noexcept { return platform_.now(); }
+  [[nodiscard]] const PlatformConfig& config() const noexcept { return config_; }
+  /// The mode the platform actually runs (config resolved against the
+  /// NMAD_PROGRESS_MODE environment): kSerial or kThreaded.
+  [[nodiscard]] ProgressMode progress_mode() const noexcept {
+    return platform_.progress_mode();
+  }
+
+  /// Rail endpoints on each side, in link order.
+  [[nodiscard]] const std::vector<drv::SimDriver*>& rails_a() const noexcept {
+    return platform_.sim_endpoints(0, 1);
+  }
+  [[nodiscard]] const std::vector<drv::SimDriver*>& rails_b() const noexcept {
+    return platform_.sim_endpoints(1, 0);
+  }
+
+ private:
+  PlatformConfig config_;
+  MultiNodePlatform platform_;
 };
 
 /// `cfg` pinned to serial progression regardless of NMAD_PROGRESS_MODE.

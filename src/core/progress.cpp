@@ -185,6 +185,11 @@ bool ProgressEngine::drain_submissions() {
     ThreadLane& lane = *lanes_[i];
     SubmitOp op;
     for (std::size_t k = 0; k < cfg_.drain_chunk; ++k) {
+      // An empty ring has nothing to pop: leave the lane without touching
+      // the in-flight count. Raising it on every idle drain would keep
+      // resetting the wait() watchdog's quiet window, and on an
+      // oversubscribed host a genuine deadlock would never panic.
+      if (lane.submission.empty()) break;
       // Account the op as in flight BEFORE popping: between the pop (ring
       // now empty) and submit (engine now busy) the wait() watchdog would
       // otherwise sample the world as quiet — and a drain thread starved

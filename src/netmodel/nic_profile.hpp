@@ -93,6 +93,7 @@ struct HostProfile {
   int pio_cores = 1;
 
   [[nodiscard]] util::Status validate() const;
+  bool operator==(const HostProfile&) const = default;
 };
 
 /// Look up a preset by name ("myri10g", "quadrics", "sci", "tcp").

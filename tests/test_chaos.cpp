@@ -11,7 +11,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -19,7 +18,6 @@
 #include "core/platform.hpp"
 #include "core/session.hpp"
 #include "drv/chaos_driver.hpp"
-#include "drv/sim_driver.hpp"
 #include "drv/sim_world.hpp"
 #include "util/rng.hpp"
 
@@ -35,59 +33,32 @@ std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
   return out;
 }
 
-/// Paper platform with every rail endpoint wrapped in a ChaosDriver.
+/// Paper platform with every rail endpoint wrapped in a ChaosDriver: a
+/// two-node MultiNodePlatform pinned to `mode`. Threaded runs get one
+/// progress thread per rail whose idle hook flushes the chaos windows, in
+/// place of the serial drive loop's flush-and-retry.
 struct ChaosFixture {
-  drv::SimWorld world;
-  // Layout: wrappers[2*link + 0] is A's endpoint, [2*link + 1] is B's.
-  std::vector<std::unique_ptr<drv::ChaosDriver>> wrappers;
-  std::unique_ptr<Session> a, b;
+  MultiNodePlatform platform;
+  drv::SimWorld& world;
+  Session* a;
+  Session* b;
   GateId gate_ab = 0, gate_ba = 0;
+  // Layout: wrappers[2*link + 0] is A's endpoint, [2*link + 1] is B's.
+  std::vector<drv::ChaosDriver*> wrappers;
 
-  ChaosFixture(std::uint64_t seed, const char* strategy,
-               drv::ChaosConfig cfg, strat::StrategyConfig scfg = {}) {
-    netmodel::HostProfile host;
-    const auto na = world.add_node(host);
-    const auto nb = world.add_node(host);
-
-    // Flap schedules run on virtual time; bind the world clock unless the
-    // test supplied its own time source.
-    if (cfg.flap.enabled && cfg.clock == nullptr) {
-      cfg.clock = [this] { return world.now(); };
+  ChaosFixture(std::uint64_t seed, const char* strategy, drv::ChaosConfig cfg,
+               strat::StrategyConfig scfg = {},
+               ProgressMode mode = ProgressMode::kSerial)
+      : platform(platform_config(seed, strategy, std::move(cfg), scfg, mode)),
+        world(platform.world()),
+        a(&platform.session(0)),
+        b(&platform.session(1)),
+        gate_ab(platform.gate(0, 1)),
+        gate_ba(platform.gate(1, 0)) {
+    for (std::size_t link = 0; link < platform.config().links.size(); ++link) {
+      wrappers.push_back(&side_a(link));
+      wrappers.push_back(&side_b(link));
     }
-
-    std::vector<drv::Driver*> rails_a, rails_b;
-    for (const auto& nic : {netmodel::myri10g(), netmodel::quadrics_qm500()}) {
-      auto [ea, eb] = world.add_link(na, nb, nic);
-      wrappers.push_back(std::make_unique<drv::ChaosDriver>(*ea, seed++, cfg));
-      rails_a.push_back(wrappers.back().get());
-      wrappers.push_back(std::make_unique<drv::ChaosDriver>(*eb, seed++, cfg));
-      rails_b.push_back(wrappers.back().get());
-    }
-
-    auto clock = [this] { return world.now(); };
-    auto defer = [this](std::function<void()> fn) {
-      world.engine().schedule(0, std::move(fn));
-    };
-    auto timer = [this](sim::TimeNs delay, std::function<void()> fn) {
-      world.engine().schedule(delay, std::move(fn));
-    };
-    // Progress: run the engine; when it drains with the predicate unmet,
-    // flush the chaos buffers (packets held below the window) and retry.
-    auto progress = [this](const std::function<bool()>& pred) {
-      for (int round = 0; round < 1000; ++round) {
-        if (world.engine().run_until(pred)) return;
-        bool flushed = false;
-        for (auto& w : wrappers) {
-          flushed |= w->buffered() > 0;
-          w->flush();
-        }
-        if (!flushed && world.engine().idle()) return;  // genuine deadlock
-      }
-    };
-    a = std::make_unique<Session>("A", clock, defer, progress, timer);
-    b = std::make_unique<Session>("B", clock, defer, progress, timer);
-    gate_ab = a->connect(rails_a, strategy, scfg);
-    gate_ba = b->connect(rails_b, strategy, scfg);
   }
 
   /// Order-scrambling only (the legacy decorator behavior).
@@ -95,43 +66,29 @@ struct ChaosFixture {
       : ChaosFixture(seed, strategy,
                      drv::ChaosConfig::uniform(drv::FaultProfile{}, window)) {}
 
-  /// Switch both sessions to threaded progression: one progress thread per
-  /// rail, sharing the world mutex. The idle hook replaces the serial
-  /// progress callback's chaos-buffer flush — it runs on a progress thread
-  /// under the world mutex whenever the engine drains, releasing packets
-  /// the window is holding back so the run cannot stall below the window.
-  void start_threaded() {
-    auto idle = [this] {
-      for (auto& w : wrappers) w->flush();
-    };
-    const std::size_t threads = wrappers.size() / 2;  // one per rail
-    a->start_threaded(world.progress_mutex(), &world.engine(), threads, idle);
-    b->start_threaded(world.progress_mutex(), &world.engine(), threads, idle);
-  }
-
-  ~ChaosFixture() {
-    // Progress threads of BOTH sessions must stop before either session
-    // dies: engine events cross sessions, so a live thread of one could
-    // step a callback into the other's freed scheduler. No-op in serial.
-    a->stop_threaded();
-    b->stop_threaded();
-    // Drain the chaos buffers while the sessions (the deliver upcall
-    // targets) are still alive; dead guards drop the frames harmlessly.
-    // The wrappers' own destructor flush must find nothing left.
-    for (auto& w : wrappers) w->flush();
+  static MultiNodeConfig platform_config(std::uint64_t seed,
+                                         const char* strategy,
+                                         drv::ChaosConfig cfg,
+                                         strat::StrategyConfig scfg,
+                                         ProgressMode mode) {
+    MultiNodeConfig c;
+    c.nodes = 2;
+    c.strategy = strategy;
+    c.strat_cfg = scfg;
+    c.progress_mode = mode;
+    c.chaos = std::move(cfg);
+    c.chaos_seed = seed;
+    return c;
   }
 
   [[nodiscard]] drv::ChaosDriver& side_a(std::size_t link) {
-    return *wrappers[2 * link];
+    return platform.chaos_endpoint(0, 1, link);
   }
   [[nodiscard]] drv::ChaosDriver& side_b(std::size_t link) {
-    return *wrappers[2 * link + 1];
+    return platform.chaos_endpoint(1, 0, link);
   }
   /// Hard-kill both endpoints of one physical link.
-  void kill_link(std::size_t link) {
-    side_a(link).kill();
-    side_b(link).kill();
-  }
+  void kill_link(std::size_t link) { platform.kill_link(0, 1, link); }
 };
 
 class ChaosSweep : public ::testing::TestWithParam<std::uint64_t> {};
@@ -262,7 +219,7 @@ TEST_P(ChaosFaultSoak, LossDupCorruptHealOrReportDeadRail) {
   // with acks on, drops/corruptions surface as retransmits and CRC drops.
   if (obs::kMetricsEnabled && !f.a->scheduler().gate(f.gate_ab).failed()) {
     std::uint64_t retransmits = 0;
-    for (auto* s : {f.a.get(), f.b.get()}) {
+    for (auto* s : {f.a, f.b}) {
       auto& gate = s->scheduler().gate(0);
       for (auto& rail : gate.rails()) {
         retransmits += rail.guard.metrics.retransmits.value();
@@ -299,8 +256,8 @@ TEST_P(ThreadedChaosFaultSoak, LossDupCorruptUnderProgressThreads) {
   strat::StrategyConfig scfg;
   scfg.reliability.ack_enabled = true;
   ChaosFixture f(GetParam(), "aggreg_greedy",
-                 drv::ChaosConfig::uniform(profile, /*window=*/3), scfg);
-  f.start_threaded();
+                 drv::ChaosConfig::uniform(profile, /*window=*/3), scfg,
+                 ProgressMode::kThreaded);
   util::Xoshiro256 rng(GetParam() * 29 + 3);
 
   auto injected = [&f] {
@@ -364,7 +321,7 @@ TEST_P(ThreadedChaosFaultSoak, LossDupCorruptUnderProgressThreads) {
   if (obs::kMetricsEnabled && !gate_failed(*f.a, f.gate_ab)) {
     // RailGuard metrics are atomic counters — safe to read lock-free.
     std::uint64_t retransmits = 0;
-    for (auto* s : {f.a.get(), f.b.get()}) {
+    for (auto* s : {f.a, f.b}) {
       auto& gate = s->scheduler().gate(0);
       for (auto& rail : gate.rails()) {
         retransmits += rail.guard.metrics.retransmits.value();
@@ -575,8 +532,7 @@ TEST(ChaosResurrection, IdleRailKilledIsDetectedRevivedAndRejoinsTheStripe) {
 TEST(ChaosResurrection, IdleRailResurrectionUnderProgressThreads) {
   ChaosFixture f(52, "split_balance",
                  drv::ChaosConfig::uniform(drv::FaultProfile{}, 1),
-                 resurrection_scfg());
-  f.start_threaded();
+                 resurrection_scfg(), ProgressMode::kThreaded);
 
   // Poll a predicate under the world mutex while the progress threads run
   // the engine (the threaded stand-in for run_until).
@@ -719,8 +675,8 @@ class ThreadedTotalOutageRecovery
 TEST_P(ThreadedTotalOutageRecovery, FailedRequestsStayFailedNewOnesSucceed) {
   strat::StrategyConfig scfg = resurrection_scfg();
   ChaosFixture f(GetParam(), "split_balance",
-                 drv::ChaosConfig::uniform(drv::FaultProfile{}, 1), scfg);
-  f.start_threaded();
+                 drv::ChaosConfig::uniform(drv::FaultProfile{}, 1), scfg,
+                 ProgressMode::kThreaded);
 
   auto poll_until = [&](const std::function<bool()>& pred) {
     for (int i = 0; i < 20000; ++i) {
@@ -807,7 +763,7 @@ TEST_P(FlappingRail, TrafficSurvivesLinkFlapByteExact) {
   cfg.flap.down_ns = 4'000'000;
   cfg.flap.start_ns = 1'000'000;
   strat::StrategyConfig scfg = resurrection_scfg();
-  // Every wrapper flaps on its own seeded schedule (the fixture binds the
+  // Every wrapper flaps on its own seeded schedule (the platform binds the
   // virtual clock): down windows overlap unpredictably, so each wave heals
   // through retransmission, failover, or a full resurrection cycle.
   ChaosFixture f(GetParam(), "split_balance", cfg, scfg);
@@ -847,6 +803,36 @@ INSTANTIATE_TEST_SUITE_P(Seeds, FlappingRail,
                          [](const auto& pinfo) {
                            return "seed" + std::to_string(pinfo.param);
                          });
+
+TEST(FlappingPlatform, FlapWindowsRunOnTheWorldClock) {
+  // No chaos clock supplied: the platform binds its world's virtual clock,
+  // so a flapping mesh builds and its down windows open as time advances.
+  MultiNodeConfig cfg;
+  cfg.nodes = 3;
+  cfg.strategy = "split_balance";
+  cfg.strat_cfg = resurrection_scfg();
+  cfg.progress_mode = ProgressMode::kSerial;
+  cfg.chaos = drv::ChaosConfig::uniform(drv::FaultProfile{}, 1);
+  cfg.chaos->flap.enabled = true;
+  cfg.chaos->flap.up_ns = 200'000;
+  cfg.chaos->flap.down_ns = 100'000;
+  MultiNodePlatform p(cfg);
+
+  const auto payload = random_bytes(1 << 20, 8);
+  std::vector<std::byte> sink(payload.size(), std::byte{0});
+  auto recv = p.session(2).irecv(p.gate(2, 0), 0, sink);
+  auto send = p.session(0).isend(p.gate(0, 2), 0, payload);
+  p.session(0).wait_all(std::span(&send, 1), std::span(&recv, 1));
+  if (recv->completed()) {
+    EXPECT_EQ(sink, payload);
+  }
+  std::uint64_t flap_downs = 0;
+  for (std::size_t link = 0; link < 2; ++link) {
+    flap_downs += p.chaos_endpoint(0, 2, link).stats().flap_downs +
+                  p.chaos_endpoint(2, 0, link).stats().flap_downs;
+  }
+  EXPECT_GT(flap_downs, 0u);
+}
 
 // --------------------------------------------------------------------------
 // Destructor straggler flush (satellite: frames held past teardown used to

@@ -4,12 +4,9 @@
 // checking that scheduling state is correctly isolated per gate.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <vector>
 
-#include "core/session.hpp"
-#include "drv/sim_driver.hpp"
-#include "drv/sim_world.hpp"
+#include "core/platform.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -26,41 +23,16 @@ std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
 
 /// Three nodes in a triangle; every edge is a 2-rail (myri + quadrics)
 /// multi-rail link. Sessions share one simulated world.
-struct Triangle {
-  drv::SimWorld world;
-  std::array<std::unique_ptr<Session>, 3> sessions;
-  // gate[i][j]: node i's gate towards node j (i != j).
-  GateId gate[3][3] = {};
-
-  explicit Triangle(const char* strategy = "aggreg_greedy") {
-    netmodel::HostProfile host;
-    std::array<drv::NodeId, 3> nodes{world.add_node(host), world.add_node(host),
-                                     world.add_node(host)};
-    auto clock = [this] { return world.now(); };
-    auto defer = [this](std::function<void()> fn) {
-      world.engine().schedule(0, std::move(fn));
-    };
-    auto progress = [this](const std::function<bool()>& pred) {
-      world.engine().run_until(pred);
-    };
-    for (int i = 0; i < 3; ++i) {
-      sessions[i] = std::make_unique<Session>(std::to_string(i), clock, defer,
-                                              progress);
-    }
-    for (int i = 0; i < 3; ++i) {
-      for (int j = i + 1; j < 3; ++j) {
-        auto [m_i, m_j] = world.add_link(nodes[i], nodes[j], netmodel::myri10g());
-        auto [q_i, q_j] =
-            world.add_link(nodes[i], nodes[j], netmodel::quadrics_qm500());
-        gate[i][j] = sessions[i]->connect({m_i, q_i}, strategy);
-        gate[j][i] = sessions[j]->connect({m_j, q_j}, strategy);
-      }
-    }
-  }
-};
+MultiNodePlatform triangle(const char* strategy = "aggreg_greedy") {
+  MultiNodeConfig cfg;
+  cfg.nodes = 3;
+  cfg.strategy = strategy;
+  cfg.progress_mode = ProgressMode::kSerial;
+  return MultiNodePlatform(cfg);
+}
 
 TEST(MultiNode, RingExchangeAcrossThreeNodes) {
-  Triangle t;
+  auto t = triangle();
   const std::size_t kSize = 50000;
   std::array<std::vector<std::byte>, 3> payloads{
       random_bytes(kSize, 1), random_bytes(kSize, 2), random_bytes(kSize, 3)};
@@ -73,13 +45,13 @@ TEST(MultiNode, RingExchangeAcrossThreeNodes) {
   std::vector<SendHandle> sends;
   for (int i = 0; i < 3; ++i) {
     const int from = (i + 2) % 3;
-    recvs.push_back(t.sessions[i]->irecv(t.gate[i][from], 0, sinks[i]));
+    recvs.push_back(t.session(i).irecv(t.gate(i, from), 0, sinks[i]));
   }
   for (int i = 0; i < 3; ++i) {
     const int to = (i + 1) % 3;
-    sends.push_back(t.sessions[i]->isend(t.gate[i][to], 0, payloads[i]));
+    sends.push_back(t.session(i).isend(t.gate(i, to), 0, payloads[i]));
   }
-  t.sessions[0]->wait_all(sends, recvs);
+  t.session(0).wait_all(sends, recvs);
   for (int i = 0; i < 3; ++i) {
     EXPECT_EQ(sinks[i], payloads[(i + 2) % 3]) << "node " << i;
   }
@@ -88,17 +60,17 @@ TEST(MultiNode, RingExchangeAcrossThreeNodes) {
 TEST(MultiNode, GatesKeepIndependentSequenceSpaces) {
   // Same tag, messages to two different peers: per-gate sequence numbers
   // must not interfere.
-  Triangle t;
+  auto t = triangle();
   const auto to1 = random_bytes(3000, 4);
   const auto to2 = random_bytes(7000, 5);
   std::vector<std::byte> sink1(3000), sink2(7000);
 
-  auto r1 = t.sessions[1]->irecv(t.gate[1][0], 9, sink1);
-  auto r2 = t.sessions[2]->irecv(t.gate[2][0], 9, sink2);
-  auto s1 = t.sessions[0]->isend(t.gate[0][1], 9, to1);
-  auto s2 = t.sessions[0]->isend(t.gate[0][2], 9, to2);
-  t.sessions[0]->wait_all(std::vector<SendHandle>{s1, s2},
-                          std::vector<RecvHandle>{r1, r2});
+  auto r1 = t.session(1).irecv(t.gate(1, 0), 9, sink1);
+  auto r2 = t.session(2).irecv(t.gate(2, 0), 9, sink2);
+  auto s1 = t.session(0).isend(t.gate(0, 1), 9, to1);
+  auto s2 = t.session(0).isend(t.gate(0, 2), 9, to2);
+  t.session(0).wait_all(std::vector<SendHandle>{s1, s2},
+                        std::vector<RecvHandle>{r1, r2});
   EXPECT_EQ(sink1, to1);
   EXPECT_EQ(sink2, to2);
 }
@@ -107,18 +79,18 @@ TEST(MultiNode, HubNodeCpuCouplesItsLinks) {
   // Node 0 sends large messages to nodes 1 and 2 simultaneously; both
   // transfers cross node 0's I/O bus, so their aggregate is bus-capped
   // while each alone would run at link speed.
-  Triangle t("single_rail");  // rail 0 = myri on each gate
+  auto t = triangle("single_rail");  // rail 0 = myri on each gate
   const std::size_t kSize = 4 << 20;
   const auto payload = random_bytes(kSize, 6);
   std::vector<std::byte> sink1(kSize), sink2(kSize);
 
-  auto r1 = t.sessions[1]->irecv(t.gate[1][0], 0, sink1);
-  auto r2 = t.sessions[2]->irecv(t.gate[2][0], 0, sink2);
-  const sim::TimeNs t0 = t.world.now();
-  auto s1 = t.sessions[0]->isend(t.gate[0][1], 0, payload);
-  auto s2 = t.sessions[0]->isend(t.gate[0][2], 0, payload);
-  t.sessions[0]->wait_all(std::vector<SendHandle>{s1, s2},
-                          std::vector<RecvHandle>{r1, r2});
+  auto r1 = t.session(1).irecv(t.gate(1, 0), 0, sink1);
+  auto r2 = t.session(2).irecv(t.gate(2, 0), 0, sink2);
+  const sim::TimeNs t0 = t.now();
+  auto s1 = t.session(0).isend(t.gate(0, 1), 0, payload);
+  auto s2 = t.session(0).isend(t.gate(0, 2), 0, payload);
+  t.session(0).wait_all(std::vector<SendHandle>{s1, s2},
+                        std::vector<RecvHandle>{r1, r2});
   EXPECT_EQ(sink1, payload);
   EXPECT_EQ(sink2, payload);
 
@@ -132,36 +104,21 @@ TEST(MultiNode, HubNodeCpuCouplesItsLinks) {
 
 TEST(MultiNode, HeterogeneousFourRailGate) {
   // One gate bundling four different technologies, with adaptive split.
-  drv::SimWorld world;
-  netmodel::HostProfile host;
-  host.bus_bandwidth_mbps = 4000.0;  // wide bus to let all rails matter
-  const auto na = world.add_node(host);
-  const auto nb = world.add_node(host);
-
-  std::vector<drv::Driver*> rails_a, rails_b;
-  for (const auto& nic : {netmodel::myri10g(), netmodel::quadrics_qm500(),
-                          netmodel::dolphin_sci(), netmodel::gige_tcp()}) {
-    auto [ea, eb] = world.add_link(na, nb, nic);
-    rails_a.push_back(ea);
-    rails_b.push_back(eb);
-  }
-  auto clock = [&world] { return world.now(); };
-  auto defer = [&world](std::function<void()> fn) {
-    world.engine().schedule(0, std::move(fn));
-  };
-  auto progress = [&world](const std::function<bool()>& pred) {
-    world.engine().run_until(pred);
-  };
-  Session a("A", clock, defer, progress);
-  Session b("B", clock, defer, progress);
-  const GateId gab = a.connect(rails_a, "split_balance");
-  const GateId gba = b.connect(rails_b, "split_balance");
-  (void)gba;
+  PlatformConfig cfg;
+  cfg.host_a.bus_bandwidth_mbps = 4000.0;  // wide bus to let all rails matter
+  cfg.host_b = cfg.host_a;
+  cfg.links = {netmodel::myri10g(), netmodel::quadrics_qm500(),
+               netmodel::dolphin_sci(), netmodel::gige_tcp()};
+  cfg.strategy = "split_balance";
+  TwoNodePlatform p(pin_serial(cfg));
+  Session& a = p.a();
+  Session& b = p.b();
+  const GateId gab = p.gate_ab();
 
   const std::size_t kSize = 8 << 20;
   const auto payload = random_bytes(kSize, 7);
   std::vector<std::byte> sink(kSize);
-  auto recv = b.irecv(0, 0, sink);
+  auto recv = b.irecv(p.gate_ba(), 0, sink);
   auto send = a.isend(gab, 0, payload);
   b.wait(recv);
   a.wait(send);

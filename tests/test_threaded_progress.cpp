@@ -7,8 +7,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -17,6 +20,7 @@
 #include "core/platform.hpp"
 #include "core/progress.hpp"
 #include "obs/registry.hpp"
+#include "util/panic.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -601,6 +605,39 @@ TEST(ThreadedProgress, CleanShutdownWithIdleThreads) {
     p.a().wait(send);
     EXPECT_EQ(sink, payload);
   }
+}
+
+TEST(ThreadedProgress, DeadlockPanicsWithManyIdleProgressThreads) {
+  // Progress threads that find every submission ring empty must leave the
+  // stall watchdog's quiet window alone: with far more progress threads
+  // than cores, an empty drain counted as in-flight work keeps resetting
+  // the window, and a deadlocked wait hangs instead of panicking.
+  util::set_panic_hook(+[](std::string_view msg) {
+    throw std::runtime_error(std::string(msg));
+  });
+  PlatformConfig cfg = pin_threaded(paper_platform("single_rail"));
+  cfg.progress_threads = 16;  // 32 progress threads over the one world
+  TwoNodePlatform p(cfg);
+  std::vector<std::byte> sink(10);
+  auto recv = p.b().irecv(p.gate_ba(), 0, sink);
+
+  // A hang cannot be unwound: report it and end the process instead.
+  std::atomic<bool> returned{false};
+  std::thread bound([&returned] {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (!returned.load() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    }
+    if (!returned.load()) {
+      std::fprintf(stderr, "deadlocked wait still running after 30 s\n");
+      std::_Exit(1);
+    }
+  });
+  EXPECT_THROW(p.b().wait(recv), std::runtime_error);
+  returned.store(true);
+  bound.join();
+  util::set_panic_hook(nullptr);
 }
 
 TEST(ThreadedProgress, StopThreadedFallsBackToSerial) {
