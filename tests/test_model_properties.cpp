@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -42,6 +43,10 @@ struct ParamCase {
   std::function<void(NicProfile&, double)> apply;  // scale the parameter
   std::size_t probe_size;  // message size where the parameter matters
 };
+
+// Without this gtest prints the raw bytes of the case (heap pointers
+// included), so the listed test names would change from run to run.
+void PrintTo(const ParamCase& pc, std::ostream* os) { *os << pc.name; }
 
 class SlowerParamMakesSlower : public ::testing::TestWithParam<ParamCase> {};
 
