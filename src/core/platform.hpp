@@ -55,8 +55,7 @@ struct PlatformConfig {
   /// Progress threads per session in threaded mode; 0 = one per rail.
   std::size_t progress_threads = 0;
   /// Per-thread submission/completion ring capacities in threaded mode;
-  /// 0 = NMAD_SUBMIT_RING_CAP / NMAD_COMPLETION_RING_CAP, else the engine
-  /// defaults. Benches that inject bursts larger than the default ring
+  /// 0 = the engine defaults. Benches that inject bursts larger than the default ring
   /// size raise these instead of spinning on backpressure.
   std::size_t submit_ring_capacity = 0;
   std::size_t completion_ring_capacity = 0;

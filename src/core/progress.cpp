@@ -60,19 +60,6 @@ ProgressMode resolve_progress_mode(ProgressMode requested) {
   return env == ProgressMode::kDefault ? ProgressMode::kSerial : env;
 }
 
-std::size_t ring_capacity_from_env(const char* var, std::size_t fallback) {
-  const char* v = std::getenv(var);
-  if (v == nullptr || *v == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || parsed == 0) {
-    NMAD_LOG_WARN("core", "%s=%s not a positive integer, using %zu", var, v,
-                  fallback);
-    return fallback;
-  }
-  return static_cast<std::size_t>(parsed);
-}
-
 const char* to_string(ProgressMode mode) {
   switch (mode) {
     case ProgressMode::kDefault:

@@ -100,12 +100,6 @@ enum class ProgressMode : std::uint8_t {
 
 [[nodiscard]] const char* to_string(ProgressMode mode);
 
-/// Resolve a per-lane ring-capacity knob (NMAD_SUBMIT_RING_CAP /
-/// NMAD_COMPLETION_RING_CAP): unset, zero or unparsable -> `fallback`.
-/// Values are rounded up to powers of two by the ring itself.
-[[nodiscard]] std::size_t ring_capacity_from_env(const char* var,
-                                                 std::size_t fallback);
-
 /// Hard cap on submitting application threads per engine — lanes live in a
 /// fixed array so progress threads can index them without a lock. 64 app
 /// threads per session is far beyond any supported deployment; exceeding
@@ -116,9 +110,7 @@ class ProgressEngine {
  public:
   struct Config {
     std::size_t threads = 1;  ///< progress threads (one per rail)
-    /// Per-lane ring capacities (rounded up to powers of two). Overridable
-    /// via NMAD_SUBMIT_RING_CAP / NMAD_COMPLETION_RING_CAP when the caller
-    /// leaves them at the defaults (see ring_capacity_from_env).
+    /// Per-lane ring capacities (rounded up to powers of two).
     std::size_t submission_capacity = 1024;
     std::size_t completion_capacity = 4096;
     /// Max engine events fired per lock acquisition — bounds how long one

@@ -51,15 +51,10 @@ void Session::start_threaded(std::mutex& world_mutex, sim::Engine* engine,
   NMAD_ASSERT(progress_engine_ == nullptr, "session already threaded");
   ProgressEngine::Config cfg;
   cfg.threads = threads == 0 ? 1 : threads;
-  cfg.submission_capacity = submit_ring_capacity != 0
-                                ? submit_ring_capacity
-                                : ring_capacity_from_env("NMAD_SUBMIT_RING_CAP",
-                                                         cfg.submission_capacity);
-  cfg.completion_capacity =
-      completion_ring_capacity != 0
-          ? completion_ring_capacity
-          : ring_capacity_from_env("NMAD_COMPLETION_RING_CAP",
-                                   cfg.completion_capacity);
+  if (submit_ring_capacity != 0) cfg.submission_capacity = submit_ring_capacity;
+  if (completion_ring_capacity != 0) {
+    cfg.completion_capacity = completion_ring_capacity;
+  }
   ProgressEngine::Hooks hooks;
   hooks.lock = &world_mutex;
   hooks.engine = engine;

@@ -92,9 +92,8 @@ class Session {
   /// (engine events cross sessions). `engine` may be null for real
   /// drivers — then `poll` does the work. `idle` runs under the lock when
   /// a progress round moves nothing. `submit_ring_capacity` /
-  /// `completion_ring_capacity` size each per-thread ring; 0 follows
-  /// NMAD_SUBMIT_RING_CAP / NMAD_COMPLETION_RING_CAP, else the engine
-  /// defaults (1024 / 4096).
+  /// `completion_ring_capacity` size each per-thread ring; 0 keeps the
+  /// engine defaults (1024 / 4096).
   void start_threaded(std::mutex& world_mutex, sim::Engine* engine,
                       std::size_t threads,
                       std::function<void()> idle = nullptr,

@@ -21,9 +21,6 @@ ChaosDriver::ChaosDriver(Driver& inner, std::uint64_t seed, ChaosConfig cfg)
               "flap windows must have positive lengths");
 }
 
-ChaosDriver::ChaosDriver(Driver& inner, std::uint64_t seed, std::size_t window)
-    : ChaosDriver(inner, seed, ChaosConfig::uniform(FaultProfile{}, window)) {}
-
 ChaosDriver::~ChaosDriver() {
   // Stragglers held past teardown would reference freed pool blocks on the
   // next access; push them through the upcall now (which is a guarded no-op

@@ -87,10 +87,9 @@ struct ChaosConfig {
 
 class ChaosDriver final : public Driver {
  public:
-  /// Wraps `inner` (not owned) with fault injection per `cfg`.
+  /// Wraps `inner` (not owned) with fault injection per `cfg`. Order
+  /// scrambling alone is ChaosConfig::uniform(FaultProfile{}, window).
   ChaosDriver(Driver& inner, std::uint64_t seed, ChaosConfig cfg);
-  /// Order-scrambling only (the legacy decorator behavior).
-  ChaosDriver(Driver& inner, std::uint64_t seed, std::size_t window = 4);
 
   /// Flushes stragglers through the (possibly defunct) deliver upcall and
   /// verifies none remain: frames held past session teardown would

@@ -62,8 +62,10 @@ void SimDriver::send_eager(SendDesc desc, Callback on_sent) {
       sim::us_to_ns(profile_.send_overhead_us + desc.extra_cpu_us) +
       sim::transfer_ns(wire_bytes, profile_.pio_bandwidth_mbps);
 
-  world_.trace().record(engine.now(), "pio.start",
-                        util::sformat("%s %zuB", profile_.name.c_str(), wire_bytes));
+  if (world_.trace().enabled()) {
+    world_.trace().record(engine.now(), "pio.start",
+                          util::sformat("%s %zuB", profile_.name.c_str(), wire_bytes));
+  }
 
   // Gather the scatter-gather view into the transit buffer now, while the
   // request's segments are guaranteed alive (completion has not fired).
@@ -83,7 +85,9 @@ void SimDriver::send_eager(SendDesc desc, Callback on_sent) {
       cpu_time, [this, on_sent = std::move(on_sent)]() mutable {
         // The NIC accepted the packet: the track can take the next one.
         busy_[static_cast<std::size_t>(Track::kSmall)] = false;
-        world_.trace().record(world_.engine().now(), "pio.done", profile_.name);
+        if (world_.trace().enabled()) {
+          world_.trace().record(world_.engine().now(), "pio.done", profile_.name);
+        }
         if (on_sent) on_sent();
       });
 
@@ -119,8 +123,10 @@ void SimDriver::send_dma(SendDesc desc, Callback on_sent) {
   desc.view.gather_into(*wire);
   desc.view.reset();
 
-  world_.trace().record(engine.now(), "dma.program",
-                        util::sformat("%s %zuB", profile_.name.c_str(), wire_bytes));
+  if (world_.trace().enabled()) {
+    world_.trace().record(engine.now(), "dma.program",
+                          util::sformat("%s %zuB", profile_.name.c_str(), wire_bytes));
+  }
 
   world_.cpu(node_).acquire(cpu_time, [this, wire, wire_bytes,
                                        on_sent = std::move(on_sent)]() mutable {
@@ -128,16 +134,21 @@ void SimDriver::send_dma(SendDesc desc, Callback on_sent) {
     world_.engine().schedule(
         sim::us_to_ns(profile_.dma_start_us),
         [this, wire, wire_bytes, on_sent = std::move(on_sent)]() mutable {
-          world_.trace().record(world_.engine().now(), "dma.start",
-                                util::sformat("%s %zuB", profile_.name.c_str(), wire_bytes));
+          if (world_.trace().enabled()) {
+            world_.trace().record(
+                world_.engine().now(), "dma.start",
+                util::sformat("%s %zuB", profile_.name.c_str(), wire_bytes));
+          }
           const std::vector<sim::ConstraintId> constraints{
               tx_link_, world_.bus(node_), world_.bus(peer_->node_)};
           world_.net().start_flow(
               wire_bytes, constraints,
               [this, wire, on_sent = std::move(on_sent)]() mutable {
                 busy_[static_cast<std::size_t>(Track::kLarge)] = false;
-                world_.trace().record(world_.engine().now(), "dma.done",
-                                      profile_.name);
+                if (world_.trace().enabled()) {
+                  world_.trace().record(world_.engine().now(), "dma.done",
+                                        profile_.name);
+                }
                 if (on_sent) on_sent();
                 // Last byte hits the remote NIC one wire latency later.
                 world_.engine().schedule(
@@ -161,9 +172,11 @@ void SimDriver::arrive(Track track, std::vector<std::byte> wire) {
   auto buf = std::make_shared<std::vector<std::byte>>(std::move(wire));
   world_.engine().schedule(recv_cost, [this, track, buf]() mutable {
     stats_.delivered_packets += 1;
-    world_.trace().record(world_.engine().now(), "deliver",
-                          util::sformat("%s %s %zuB", profile_.name.c_str(),
-                                      track_name(track), buf->size()));
+    if (world_.trace().enabled()) {
+      world_.trace().record(world_.engine().now(), "deliver",
+                            util::sformat("%s %s %zuB", profile_.name.c_str(),
+                                          track_name(track), buf->size()));
+    }
     NMAD_ASSERT(deliver_ != nullptr, "packet arrived with no deliver upcall");
     // Non-owning delivery: `buf` stays alive for the duration of the
     // upcall (DeliverFn contract).

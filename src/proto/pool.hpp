@@ -35,8 +35,8 @@ namespace nmad::proto {
 
 class BufferPool;
 
-/// Owning handle to one block of bytes, usually drawn from (and returned
-/// to) a BufferPool. Move-only; empty handles are valid and inert.
+/// Owning handle to one block of bytes drawn from (and returned to) a
+/// BufferPool. Move-only; empty handles are valid and inert.
 class PooledBuffer {
  public:
   PooledBuffer() = default;
@@ -58,10 +58,6 @@ class PooledBuffer {
   }
   PooledBuffer(const PooledBuffer&) = delete;
   PooledBuffer& operator=(const PooledBuffer&) = delete;
-
-  /// Wrap an already-filled buffer with no pool behind it (legacy flat
-  /// packets); destruction simply frees it.
-  [[nodiscard]] static PooledBuffer unpooled(std::vector<std::byte> bytes);
 
   [[nodiscard]] bool live() const noexcept { return live_; }
   /// True when acquire() had to heap-allocate this block (a pool miss) —

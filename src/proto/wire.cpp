@@ -66,12 +66,13 @@ void check_segment(const SegHeader& header, std::span<const std::byte> payload) 
               "segment extent exceeds message length");
 }
 
-/// Encode a complete one-segment zero-payload control packet into `out`.
-void encode_control_into(std::span<std::byte> out, PacketKind kind,
-                         const SegHeader& h) {
-  NMAD_ASSERT(out.size() >= kControlPacketBytes,
-              "control packet buffer too small");
-  std::byte* p = out.data();
+/// Encode a complete one-segment zero-payload control packet straight into
+/// a pooled block: the fixed-size image needs no builder state.
+PacketView encode_control_view(BufferPool& pool, PacketKind kind,
+                               const SegHeader& h) {
+  PooledBuffer head = pool.acquire();
+  head.storage().resize(kControlPacketBytes);
+  std::byte* p = head.storage().data();
   store_u16(p + 0, kMagic);
   p[2] = std::byte{kVersion};
   p[3] = std::byte{static_cast<std::uint8_t>(kind)};
@@ -84,43 +85,14 @@ void encode_control_into(std::span<std::byte> out, PacketKind kind,
   store_u32(p + 24, h.offset);
   store_u32(p + 28, h.len);
   store_u32(p + 32, h.total_len);
+  return PacketView::from_encoded(std::move(head));
 }
 
 }  // namespace
 
-PacketBuilder::PacketBuilder(PacketKind kind) : kind_(kind) {}
-
-void PacketBuilder::add_segment(const SegHeader& header,
-                                std::span<const std::byte> payload) {
-  NMAD_ASSERT(payload.size() == header.len, "segment payload/len mismatch");
-  NMAD_ASSERT(header.len == 0 ||
-                  static_cast<std::uint64_t>(header.offset) + header.len <=
-                      header.total_len,
-              "segment extent exceeds message length");
-  headers_.push_back(header);
-  payload_.insert(payload_.end(), payload.begin(), payload.end());
-}
-
-std::vector<std::byte> PacketBuilder::finish() && {
-  NMAD_ASSERT(!headers_.empty(), "encoding packet with no segments");
-  NMAD_ASSERT(headers_.size() <= 0xffff, "too many segments in one packet");
-  std::vector<std::byte> out;
-  out.reserve(wire_size());
-  append_packet_header(out, kind_, static_cast<std::uint16_t>(headers_.size()),
-                       static_cast<std::uint32_t>(payload_.size()));
-  NMAD_ASSERT(out.size() == kPacketHeaderBytes, "packet header layout drift");
-  for (const SegHeader& h : headers_) append_seg_header(out, h);
-  out.insert(out.end(), payload_.begin(), payload_.end());
-  return out;
-}
-
 // --------------------------------------------------------------------------
 // PacketView / GatherBuilder
 // --------------------------------------------------------------------------
-
-PacketView PacketView::flat(std::vector<std::byte> wire) {
-  return from_encoded(PooledBuffer::unpooled(std::move(wire)));
-}
 
 PacketView PacketView::from_encoded(PooledBuffer head) {
   PacketView view;
@@ -406,25 +378,6 @@ util::Expected<DecodedPacket> decode_packet(std::span<const std::byte> wire) {
   return pkt;
 }
 
-std::vector<std::byte> encode_data_packet(const SegHeader& header,
-                                          std::span<const std::byte> payload) {
-  PacketBuilder b(PacketKind::kData);
-  b.add_segment(header, payload);
-  return std::move(b).finish();
-}
-
-std::vector<std::byte> encode_rdv_req(Tag tag, MsgSeq seq, std::uint32_t total_len) {
-  std::vector<std::byte> out(kControlPacketBytes);
-  encode_rdv_req_into(out, tag, seq, total_len);
-  return out;
-}
-
-std::vector<std::byte> encode_rdv_ack(Tag tag, MsgSeq seq) {
-  std::vector<std::byte> out(kControlPacketBytes);
-  encode_rdv_ack_into(out, tag, seq);
-  return out;
-}
-
 PacketView encode_data_packet_view(BufferPool& pool, const SegHeader& header,
                                    std::span<const std::byte> payload) {
   GatherBuilder b(PacketKind::kData, pool.acquire());
@@ -432,28 +385,14 @@ PacketView encode_data_packet_view(BufferPool& pool, const SegHeader& header,
   return std::move(b).finish();
 }
 
-void encode_rdv_req_into(std::span<std::byte> out, Tag tag, MsgSeq seq,
-                         std::uint32_t total_len) {
-  encode_control_into(out, PacketKind::kRdvReq, SegHeader{tag, seq, 0, 0, total_len});
-}
-
-void encode_rdv_ack_into(std::span<std::byte> out, Tag tag, MsgSeq seq) {
-  encode_control_into(out, PacketKind::kRdvAck, SegHeader{tag, seq, 0, 0, 0});
-}
-
 PacketView encode_rdv_req_view(BufferPool& pool, Tag tag, MsgSeq seq,
                                std::uint32_t total_len) {
-  PooledBuffer head = pool.acquire();
-  head.storage().resize(kControlPacketBytes);
-  encode_rdv_req_into(head.storage(), tag, seq, total_len);
-  return PacketView::from_encoded(std::move(head));
+  return encode_control_view(pool, PacketKind::kRdvReq,
+                             SegHeader{tag, seq, 0, 0, total_len});
 }
 
 PacketView encode_rdv_ack_view(BufferPool& pool, Tag tag, MsgSeq seq) {
-  PooledBuffer head = pool.acquire();
-  head.storage().resize(kControlPacketBytes);
-  encode_rdv_ack_into(head.storage(), tag, seq);
-  return PacketView::from_encoded(std::move(head));
+  return encode_control_view(pool, PacketKind::kRdvAck, SegHeader{tag, seq, 0, 0, 0});
 }
 
 }  // namespace nmad::proto

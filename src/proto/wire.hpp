@@ -133,7 +133,7 @@ constexpr std::size_t packet_wire_size(std::size_t seg_count,
 }
 
 /// Exact wire size of a rendezvous control packet (one SegHeader, no
-/// payload) — small enough to encode into stack or pooled storage with no
+/// payload) — small enough to encode straight into a pooled block with no
 /// intermediate builder state.
 inline constexpr std::size_t kControlPacketBytes =
     kPacketHeaderBytes + kSegHeaderBytes;
@@ -162,11 +162,6 @@ class PacketView {
   PacketView(const PacketView&) = delete;
   PacketView& operator=(const PacketView&) = delete;
 
-  /// Wrap a fully encoded flat packet (header + payload already
-  /// contiguous). Compatibility shim for pre-gather call sites; reports
-  /// zero copied bytes because the copy happened before the view existed.
-  [[nodiscard]] static PacketView flat(std::vector<std::byte> wire);
-
   /// Wrap an encoded head-only packet (e.g. a control packet: the whole
   /// wire image lives in `head`, there is no payload).
   [[nodiscard]] static PacketView from_encoded(PooledBuffer head);
@@ -177,7 +172,8 @@ class PacketView {
   /// view still owns. The alias must not outlive the original.
   [[nodiscard]] PacketView alias() const;
 
-  /// Encoded packet header + seg headers (for flat views: the whole wire).
+  /// Encoded packet header + seg headers (for control packets: the whole
+  /// wire image).
   [[nodiscard]] std::span<const std::byte> head() const noexcept {
     return alias_head_.data() != nullptr ? alias_head_ : head_.bytes();
   }
@@ -272,30 +268,6 @@ class GatherBuilder {
   std::size_t staged_bytes_ = 0;
 };
 
-/// Incrementally builds an encoded packet.
-class PacketBuilder {
- public:
-  explicit PacketBuilder(PacketKind kind);
-
-  /// Append a segment. For control packets, pass an empty payload.
-  /// `payload.size()` must equal `header.len`.
-  void add_segment(const SegHeader& header, std::span<const std::byte> payload);
-
-  [[nodiscard]] std::size_t seg_count() const noexcept { return headers_.size(); }
-  [[nodiscard]] std::size_t payload_bytes() const noexcept { return payload_.size(); }
-  [[nodiscard]] std::size_t wire_size() const noexcept {
-    return packet_wire_size(headers_.size(), payload_.size());
-  }
-
-  /// Encode into a fresh buffer. The builder may not be reused afterwards.
-  [[nodiscard]] std::vector<std::byte> finish() &&;
-
- private:
-  PacketKind kind_;
-  std::vector<SegHeader> headers_;
-  std::vector<std::byte> payload_;
-};
-
 /// A decoded view into an encoded packet. Does not own the bytes: the
 /// spans point into the buffer passed to decode_packet, which must outlive
 /// the DecodedPacket.
@@ -311,30 +283,15 @@ struct DecodedPacket {
 /// Validate and decode an encoded packet (checks magic, version, lengths).
 util::Expected<DecodedPacket> decode_packet(std::span<const std::byte> wire);
 
-/// Convenience: build a single-segment data packet (flat, copies the
-/// payload — legacy/test path; the hot path uses encode_data_packet_view).
-std::vector<std::byte> encode_data_packet(const SegHeader& header,
-                                          std::span<const std::byte> payload);
-
-/// Convenience: build a rendezvous request for a message of `total_len`.
-std::vector<std::byte> encode_rdv_req(Tag tag, MsgSeq seq, std::uint32_t total_len);
-
-/// Convenience: build a rendezvous grant.
-std::vector<std::byte> encode_rdv_ack(Tag tag, MsgSeq seq);
-
 /// Zero-copy single-segment data packet: pooled header block + a span
-/// referencing `payload` in place.
+/// referencing `payload` in place. Tests that need a flat wire image gather
+/// it with to_bytes().
 PacketView encode_data_packet_view(BufferPool& pool, const SegHeader& header,
                                    std::span<const std::byte> payload);
 
-/// Fixed-size stack-encoded control-packet fast paths: write the complete
-/// kControlPacketBytes wire image directly into `out` (which must be at
-/// least that large) with no builder, no intermediate vectors.
-void encode_rdv_req_into(std::span<std::byte> out, Tag tag, MsgSeq seq,
-                         std::uint32_t total_len);
-void encode_rdv_ack_into(std::span<std::byte> out, Tag tag, MsgSeq seq);
-
-/// Pooled control packets (the fast paths above, into a recycled block).
+/// Rendezvous request (for a message of `total_len`) and grant: the fixed
+/// kControlPacketBytes wire image written straight into a recycled block,
+/// with no builder state.
 PacketView encode_rdv_req_view(BufferPool& pool, Tag tag, MsgSeq seq,
                                std::uint32_t total_len);
 PacketView encode_rdv_ack_view(BufferPool& pool, Tag tag, MsgSeq seq);

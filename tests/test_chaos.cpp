@@ -865,7 +865,8 @@ TEST(Chaos, DestructorFlushesBufferedStragglers) {
     frames.push_back(random_bytes(64 + 32 * i, 100 + i));
   }
   {
-    drv::ChaosDriver chaos(inner, /*seed=*/1, /*window=*/64);
+    drv::ChaosDriver chaos(inner, /*seed=*/1,
+                           drv::ChaosConfig::uniform(drv::FaultProfile{}, 64));
     chaos.set_deliver([&](drv::Track, std::span<const std::byte> wire) {
       got.emplace_back(wire.begin(), wire.end());
     });
@@ -881,7 +882,8 @@ TEST(Chaos, DestructorFlushesBufferedStragglers) {
 TEST(Chaos, KillDiscardsBufferAndSwallowsSends) {
   StubDriver inner;
   std::size_t delivered = 0;
-  drv::ChaosDriver chaos(inner, /*seed=*/2, /*window=*/64);
+  drv::ChaosDriver chaos(inner, /*seed=*/2,
+                         drv::ChaosConfig::uniform(drv::FaultProfile{}, 64));
   chaos.set_deliver([&](drv::Track, std::span<const std::byte>) { ++delivered; });
   const auto frame = random_bytes(128, 3);
   inner.deliver(drv::Track::kSmall, frame);

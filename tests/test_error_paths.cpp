@@ -63,12 +63,15 @@ TEST_F(ErrorPaths, PostSendOnBusyTrackPanics) {
   auto [da, db] = world.add_link(na, nb, netmodel::myri10g());
   db->set_deliver([](drv::Track, std::span<const std::byte>) {});
 
-  const auto wire = proto::encode_data_packet(proto::SegHeader{0, 0, 0, 4, 4},
-                                              std::vector<std::byte>(4));
-  da->post_send(drv::SendDesc{drv::Track::kSmall, wire, 0.0}, nullptr);
-  EXPECT_THROW(
-      da->post_send(drv::SendDesc{drv::Track::kSmall, wire, 0.0}, nullptr),
-      std::runtime_error);
+  proto::BufferPool pool;
+  const std::vector<std::byte> payload(4);
+  auto packet = [&] {
+    return drv::SendDesc{drv::Track::kSmall,
+                         proto::encode_data_packet_view(
+                             pool, proto::SegHeader{0, 0, 0, 4, 4}, payload)};
+  };
+  da->post_send(packet(), nullptr);
+  EXPECT_THROW(da->post_send(packet(), nullptr), std::runtime_error);
 }
 
 TEST_F(ErrorPaths, OversizedEagerPacketPanics) {
@@ -80,10 +83,12 @@ TEST_F(ErrorPaths, OversizedEagerPacketPanics) {
   db->set_deliver([](drv::Track, std::span<const std::byte>) {});
 
   const std::uint32_t huge = 64 * 1024;
-  const auto wire = proto::encode_data_packet(
-      proto::SegHeader{0, 0, 0, huge, huge}, std::vector<std::byte>(huge));
+  proto::BufferPool pool;
+  const std::vector<std::byte> payload(huge);
+  auto view = proto::encode_data_packet_view(
+      pool, proto::SegHeader{0, 0, 0, huge, huge}, payload);
   EXPECT_THROW(
-      da->post_send(drv::SendDesc{drv::Track::kSmall, wire, 0.0}, nullptr),
+      da->post_send(drv::SendDesc{drv::Track::kSmall, std::move(view)}, nullptr),
       std::runtime_error);
 }
 

@@ -17,8 +17,8 @@ using namespace nmad;
 
 struct CommFixture {
   core::TwoNodePlatform platform{core::paper_platform("aggreg_greedy")};
-  api::Communicator a{platform.a(), platform.gate_ab()};
-  api::Communicator b{platform.b(), platform.gate_ba()};
+  api::Communicator a{platform.a(), {core::kNoGate, platform.gate_ab()}, 0};
+  api::Communicator b{platform.b(), {platform.gate_ba(), core::kNoGate}, 1};
 };
 
 TEST(MpiLike, TypedBlockingSendRecv) {
@@ -74,12 +74,12 @@ TEST(MpiLike, SendrecvExchangesBothDirections) {
 
 TEST(MpiLike, BarrierSynchronizesTwoParties) {
   CommFixture f;
-  // a reaches the barrier "late": b posts its token first, then a enters.
-  auto token_b_recv = f.b.session().irecv(f.b.gate(), 0xffffffffu, {});
-  auto token_b_send = f.b.session().isend(f.b.gate(), 0xffffffffu, {});
+  // a reaches the barrier "late": b posts its tokens first, then a enters.
+  const coll::CollHandle b_barrier = f.b.group().ibarrier();
   f.a.barrier();
-  f.b.session().wait(token_b_recv);
-  f.b.session().wait(token_b_send);
+  EXPECT_TRUE(f.b.group().wait(b_barrier));
+  EXPECT_EQ(f.a.size(), 2u);
+  EXPECT_EQ(f.b.rank(), 1u);
   EXPECT_GT(f.platform.now(), 0);
 }
 
@@ -106,8 +106,8 @@ TEST(MpiLike, NullRequestIsTriviallyComplete) {
 
 TEST(MpiLike, RejectsTagsInReservedSpace) {
   // Regression: user tags at or above kReservedTagBase would cross-match
-  // collective streams or the barrier token; both posting paths must
-  // reject them (and the largest user tag must still work).
+  // collective streams; both posting paths must reject them (and the
+  // largest user tag must still work).
   CommFixture f;
   std::vector<std::byte> buf(16);
   util::set_panic_hook(+[](std::string_view msg) {
@@ -129,7 +129,7 @@ TEST(MpiLike, RejectsTagsInReservedSpace) {
 
 TEST(MpiLike, NPartyBarrierSynchronizesAllRanks) {
   // Four ranks, threaded progression, one app thread per rank blocking in
-  // barrier() — the generalized form of the two-party token exchange.
+  // barrier().
   core::MultiNodeConfig cfg;
   cfg.nodes = 4;
   cfg.progress_mode = core::ProgressMode::kThreaded;

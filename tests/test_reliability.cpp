@@ -128,10 +128,12 @@ ReliabilityConfig deterministic_cfg() {
 }
 
 drv::SendDesc make_data_desc(drv::Track track = drv::Track::kSmall) {
-  const auto payload = random_bytes(32, 7);
-  return drv::SendDesc(track,
-                       proto::encode_data_packet(
-                           proto::SegHeader{1, 1, 0, 32, 32}, payload));
+  // The guard keeps the desc for retransmits, so the borrowed payload must
+  // outlive every test.
+  static const std::vector<std::byte> payload = random_bytes(32, 7);
+  static proto::BufferPool pool;
+  return drv::SendDesc(track, proto::encode_data_packet_view(
+                                  pool, proto::SegHeader{1, 1, 0, 32, 32}, payload));
 }
 
 /// Build a sealed inbound frame as the peer's guard would: envelope
@@ -143,8 +145,10 @@ std::vector<std::byte> make_frame(std::uint32_t seq,
                                   std::uint32_t epoch = 0) {
   std::vector<std::byte> packet;
   if ((flags & proto::kFrameAckOnly) == 0) {
-    packet = proto::encode_data_packet(proto::SegHeader{2, 1, 0, 16, 16},
-                                       random_bytes(16, seq));
+    proto::BufferPool pool;
+    packet = proto::encode_data_packet_view(pool, proto::SegHeader{2, 1, 0, 16, 16},
+                                            random_bytes(16, seq))
+                 .to_bytes();
   }
   std::vector<std::byte> frame(proto::kFrameEnvelopeBytes + packet.size());
   std::copy(packet.begin(), packet.end(),

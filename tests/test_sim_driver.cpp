@@ -18,6 +18,10 @@ using namespace nmad;
 using namespace nmad::drv;
 
 struct Fixture {
+  // Declared before the world so that they outlive its drivers.
+  proto::BufferPool pool;
+  std::vector<std::byte> payload =
+      std::vector<std::byte>(4 * 1024 * 1024, std::byte{0x7f});
   SimWorld world;
   NodeId na, nb;
   SimDriver* myri_a = nullptr;
@@ -32,13 +36,14 @@ struct Fixture {
     std::tie(myri_a, myri_b) = world.add_link(na, nb, netmodel::myri10g());
     std::tie(quad_a, quad_b) = world.add_link(na, nb, netmodel::quadrics_qm500());
   }
-};
 
-std::vector<std::byte> data_packet(std::uint32_t payload_len) {
-  std::vector<std::byte> payload(payload_len, std::byte{0x7f});
-  return proto::encode_data_packet(
-      proto::SegHeader{0, 0, 0, payload_len, payload_len}, payload);
-}
+  /// One-segment data packet over the first `len` bytes of `payload`, which
+  /// the fixture keeps alive for as long as any view borrowing it.
+  proto::PacketView data_packet(std::uint32_t len) {
+    return proto::encode_data_packet_view(
+        pool, proto::SegHeader{0, 0, 0, len, len}, std::span(payload).first(len));
+  }
+};
 
 TEST(SimDriver, CapsReflectProfile) {
   Fixture f;
@@ -57,7 +62,7 @@ TEST(SimDriver, MinimalEagerLatencyMatchesPaper) {
   });
   f.quad_b->set_deliver([](Track, std::span<const std::byte>) {});
 
-  f.myri_a->post_send(SendDesc{Track::kSmall, data_packet(4), 0.0}, nullptr);
+  f.myri_a->post_send(SendDesc{Track::kSmall, f.data_packet(4), 0.0}, nullptr);
   f.world.engine().run();
   // 2.8 us host+wire latency, + PIO copy of the 40-byte header+payload,
   // + the poll penalty for the receiver's second (Quadrics) rail.
@@ -70,7 +75,7 @@ TEST(SimDriver, TrackBusyUntilSendCompletes) {
   f.myri_b->set_deliver([](Track, std::span<const std::byte>) {});
   EXPECT_TRUE(f.myri_a->send_idle(Track::kSmall));
   bool sent = false;
-  f.myri_a->post_send(SendDesc{Track::kSmall, data_packet(1024), 0.0},
+  f.myri_a->post_send(SendDesc{Track::kSmall, f.data_packet(1024), 0.0},
                       [&] { sent = true; });
   EXPECT_FALSE(f.myri_a->send_idle(Track::kSmall));
   EXPECT_TRUE(f.myri_a->send_idle(Track::kLarge));  // tracks independent
@@ -87,10 +92,9 @@ TEST(SimDriver, PioSendsOnDistinctRailsSerializeOnCpu) {
   f.myri_b->set_deliver([](Track, std::span<const std::byte>) {});
   f.quad_b->set_deliver([](Track, std::span<const std::byte>) {});
 
-  const auto pkt = data_packet(4096);
-  f.myri_a->post_send(SendDesc{Track::kSmall, pkt, 0.0},
+  f.myri_a->post_send(SendDesc{Track::kSmall, f.data_packet(4096), 0.0},
                       [&] { myri_sent = f.world.now(); });
-  f.quad_a->post_send(SendDesc{Track::kSmall, pkt, 0.0},
+  f.quad_a->post_send(SendDesc{Track::kSmall, f.data_packet(4096), 0.0},
                       [&] { quad_sent = f.world.now(); });
   f.world.engine().run();
 
@@ -110,9 +114,9 @@ TEST(SimDriver, DmaSendsOverlapAndShareTheBus) {
   f.quad_b->set_deliver([](Track, std::span<const std::byte>) {});
 
   const std::uint32_t len = 4 * 1024 * 1024;
-  f.myri_a->post_send(SendDesc{Track::kLarge, data_packet(len), 0.0},
+  f.myri_a->post_send(SendDesc{Track::kLarge, f.data_packet(len), 0.0},
                       [&] { myri_done = f.world.now(); });
-  f.quad_a->post_send(SendDesc{Track::kLarge, data_packet(len), 0.0},
+  f.quad_a->post_send(SendDesc{Track::kLarge, f.data_packet(len), 0.0},
                       [&] { quad_done = f.world.now(); });
   f.world.engine().run();
 
@@ -137,9 +141,9 @@ TEST(SimDriver, EagerDeliveryIsFifoPerRail) {
 
   // Chain three sends of decreasing size; FIFO delivery must preserve order
   // even though the later (smaller) packets spend less time in PIO.
-  f.myri_a->post_send(SendDesc{Track::kSmall, data_packet(8000), 0.0}, [&] {
-    f.myri_a->post_send(SendDesc{Track::kSmall, data_packet(100), 0.0}, [&] {
-      f.myri_a->post_send(SendDesc{Track::kSmall, data_packet(4), 0.0}, nullptr);
+  f.myri_a->post_send(SendDesc{Track::kSmall, f.data_packet(8000), 0.0}, [&] {
+    f.myri_a->post_send(SendDesc{Track::kSmall, f.data_packet(100), 0.0}, [&] {
+      f.myri_a->post_send(SendDesc{Track::kSmall, f.data_packet(4), 0.0}, nullptr);
     });
   });
   f.world.engine().run();
@@ -173,8 +177,8 @@ TEST(SimDriver, StatsCountPacketsAndBytes) {
   f.myri_b->set_deliver([&](Track, std::span<const std::byte>) { ++delivered; });
   f.quad_b->set_deliver([](Track, std::span<const std::byte>) {});
 
-  f.myri_a->post_send(SendDesc{Track::kSmall, data_packet(100), 0.0}, nullptr);
-  f.myri_a->post_send(SendDesc{Track::kLarge, data_packet(100000), 0.0}, nullptr);
+  f.myri_a->post_send(SendDesc{Track::kSmall, f.data_packet(100), 0.0}, nullptr);
+  f.myri_a->post_send(SendDesc{Track::kLarge, f.data_packet(100000), 0.0}, nullptr);
   f.world.engine().run();
 
   EXPECT_EQ(f.myri_a->stats().eager_packets, 1u);
@@ -191,13 +195,13 @@ TEST(SimDriver, ExtraCpuDelaysEagerInjection) {
   f.myri_b->set_deliver([](Track, std::span<const std::byte>) {});
   f.quad_b->set_deliver([](Track, std::span<const std::byte>) {});
 
-  f.myri_a->post_send(SendDesc{Track::kSmall, data_packet(64), 0.0},
+  f.myri_a->post_send(SendDesc{Track::kSmall, f.data_packet(64), 0.0},
                       [&] { t_plain = f.world.now(); });
   f.world.engine().run();
   const sim::TimeNs cpu_cost = t_plain;  // first send started at t=0
 
   const sim::TimeNs t1 = f.world.now();
-  f.myri_a->post_send(SendDesc{Track::kSmall, data_packet(64), 5.0},
+  f.myri_a->post_send(SendDesc{Track::kSmall, f.data_packet(64), 5.0},
                       [&] { t_extra = f.world.now(); });
   f.world.engine().run();
   EXPECT_EQ(t_extra - t1, cpu_cost + sim::us_to_ns(5.0));

@@ -211,10 +211,13 @@ TEST(TcpDriver, TrackIdleContract) {
   EXPECT_TRUE(da->send_idle(drv::Track::kSmall));
 
   bool sent = false;
-  const auto wire = nmad::proto::encode_data_packet(
-      nmad::proto::SegHeader{0, 0, 0, 4, 4},
-      std::vector<std::byte>(4, std::byte{1}));
-  da->post_send(drv::SendDesc{drv::Track::kSmall, wire, 0.0}, [&] { sent = true; });
+  // The driver sends from the borrowed payload until on_sent fires.
+  nmad::proto::BufferPool pool;
+  const std::vector<std::byte> payload(4, std::byte{1});
+  da->post_send(drv::SendDesc{drv::Track::kSmall,
+                              nmad::proto::encode_data_packet_view(
+                                  pool, nmad::proto::SegHeader{0, 0, 0, 4, 4}, payload)},
+                [&] { sent = true; });
   EXPECT_FALSE(da->send_idle(drv::Track::kSmall));
   EXPECT_TRUE(da->send_idle(drv::Track::kLarge));
   while (!sent) da->progress();

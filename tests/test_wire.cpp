@@ -19,10 +19,18 @@ std::vector<std::byte> bytes_of(std::initializer_list<int> xs) {
   return out;
 }
 
+/// Contiguous wire image of a one-segment data packet, gathered from the
+/// zero-copy view (the view borrows `payload` only until to_bytes returns).
+std::vector<std::byte> data_packet(const SegHeader& h,
+                                   std::span<const std::byte> payload) {
+  BufferPool pool;
+  return encode_data_packet_view(pool, h, payload).to_bytes();
+}
+
 TEST(Wire, SingleSegmentRoundTrip) {
   const auto payload = bytes_of({1, 2, 3, 4, 5});
   const SegHeader h{7, 42, 100, 5, 4096};
-  const auto wire = encode_data_packet(h, payload);
+  const auto wire = data_packet(h, payload);
   EXPECT_EQ(wire.size(), packet_wire_size(1, 5));
 
   const auto decoded = decode_packet(wire);
@@ -35,15 +43,16 @@ TEST(Wire, SingleSegmentRoundTrip) {
 }
 
 TEST(Wire, AggregatedPacketPreservesAllSegments) {
-  PacketBuilder builder(PacketKind::kData);
+  BufferPool heads, staging;
+  GatherBuilder builder(PacketKind::kData, heads.acquire(), staging.acquire());
   std::vector<std::vector<std::byte>> payloads;
   for (std::uint32_t i = 0; i < 9; ++i) {
     payloads.push_back(std::vector<std::byte>(i * 3, std::byte(i)));
-    builder.add_segment(
+    builder.add_segment_staged(
         SegHeader{i, i * 10, 0, static_cast<std::uint32_t>(i * 3), i * 3 + 1},
         payloads.back());
   }
-  const auto wire = std::move(builder).finish();
+  const auto wire = std::move(builder).finish().to_bytes();
   const auto decoded = decode_packet(wire);
   ASSERT_TRUE(decoded.has_value());
   ASSERT_EQ(decoded->segments.size(), 9u);
@@ -57,7 +66,8 @@ TEST(Wire, AggregatedPacketPreservesAllSegments) {
 }
 
 TEST(Wire, ControlPacketsRoundTrip) {
-  const auto req = encode_rdv_req(3, 9, 1 << 20);
+  BufferPool pool;
+  const auto req = encode_rdv_req_view(pool, 3, 9, 1 << 20).to_bytes();
   auto decoded = decode_packet(req);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->kind, PacketKind::kRdvReq);
@@ -66,14 +76,14 @@ TEST(Wire, ControlPacketsRoundTrip) {
   EXPECT_EQ(decoded->segments[0].header.total_len, 1u << 20);
   EXPECT_TRUE(decoded->segments[0].payload.empty());
 
-  const auto ack = encode_rdv_ack(3, 9);
+  const auto ack = encode_rdv_ack_view(pool, 3, 9).to_bytes();
   decoded = decode_packet(ack);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->kind, PacketKind::kRdvAck);
 }
 
 TEST(Wire, RejectsTruncatedPacket) {
-  const auto wire = encode_data_packet(SegHeader{1, 1, 0, 4, 4}, bytes_of({1, 2, 3, 4}));
+  const auto wire = data_packet(SegHeader{1, 1, 0, 4, 4}, bytes_of({1, 2, 3, 4}));
   for (std::size_t cut = 0; cut < wire.size(); ++cut) {
     const auto truncated =
         std::span<const std::byte>(wire.data(), cut);
@@ -82,7 +92,7 @@ TEST(Wire, RejectsTruncatedPacket) {
 }
 
 TEST(Wire, RejectsBadMagicVersionKind) {
-  auto wire = encode_data_packet(SegHeader{1, 1, 0, 0, 0}, {});
+  auto wire = data_packet(SegHeader{1, 1, 0, 0, 0}, {});
   auto corrupt = wire;
   corrupt[0] = std::byte{0x00};
   EXPECT_FALSE(decode_packet(corrupt).has_value());
@@ -97,14 +107,14 @@ TEST(Wire, RejectsBadMagicVersionKind) {
 }
 
 TEST(Wire, RejectsTrailingGarbage) {
-  auto wire = encode_data_packet(SegHeader{1, 1, 0, 2, 2}, bytes_of({1, 2}));
+  auto wire = data_packet(SegHeader{1, 1, 0, 2, 2}, bytes_of({1, 2}));
   wire.push_back(std::byte{0});
   EXPECT_FALSE(decode_packet(wire).has_value());
 }
 
 TEST(Wire, RejectsExtentBeyondMessage) {
   // Hand-corrupt the offset field of an otherwise valid packet.
-  auto wire = encode_data_packet(SegHeader{1, 1, 0, 4, 4}, bytes_of({1, 2, 3, 4}));
+  auto wire = data_packet(SegHeader{1, 1, 0, 4, 4}, bytes_of({1, 2, 3, 4}));
   // SegHeader at offset 16; its 'offset' field at +8.
   wire[16 + 8] = std::byte{0xff};
   EXPECT_FALSE(decode_packet(wire).has_value());
@@ -123,8 +133,15 @@ TEST(WireGather, SingleSegmentViewIsZeroCopyAndByteIdentical) {
   // The payload span references the caller's memory in place.
   EXPECT_EQ(view.payload_spans()[0].data(), payload.data());
 
+  // Known-answer wire image (all integers little-endian).
   const auto gathered = view.to_bytes();
-  EXPECT_EQ(gathered, encode_data_packet(h, payload));
+  EXPECT_EQ(gathered, bytes_of({
+      0x4e, 0x4d, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00,  // "NM", v1, kData, 1 seg
+      0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload_len 6
+      0x03, 0x00, 0x00, 0x00, 0x0b, 0x00, 0x00, 0x00,  // tag 3, msg_seq 11
+      0x18, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00,  // offset 24, len 6
+      0x80, 0x02, 0x00, 0x00,                          // total_len 640
+      0x09, 0x08, 0x07, 0x06, 0x05, 0x04}));           // payload
   EXPECT_EQ(gathered.size(), view.wire_size());
 }
 
@@ -249,22 +266,47 @@ TEST(WireGather, AdjacentReferencedSegmentsMergeSpans) {
   ASSERT_TRUE(decode_packet(view.to_bytes()).has_value());
 }
 
-TEST(WireGather, ControlFastPathsMatchLegacyEncodersByteForByte) {
-  std::array<std::byte, kControlPacketBytes> buf{};
-  encode_rdv_req_into(buf, 5, 77, 123456);
-  const auto legacy_req = encode_rdv_req(5, 77, 123456);
-  EXPECT_TRUE(std::equal(legacy_req.begin(), legacy_req.end(), buf.begin()));
-
-  encode_rdv_ack_into(buf, 5, 77);
-  const auto legacy_ack = encode_rdv_ack(5, 77);
-  EXPECT_TRUE(std::equal(legacy_ack.begin(), legacy_ack.end(), buf.begin()));
+TEST(WireGather, StagedAndControlPacketsMatchKnownWireImages) {
+  // Hand-written images pin the encoders to the wire format itself (all
+  // integers little-endian), not to another encoder sharing their helpers.
+  BufferPool heads(256), staging(256);
+  GatherBuilder builder(PacketKind::kData, heads.acquire(), staging.acquire());
+  builder.add_segment_staged(SegHeader{1, 2, 0, 2, 2}, bytes_of({0xa1, 0xa2}));
+  builder.add_segment_staged(SegHeader{2, 5, 4, 1, 9}, bytes_of({0xb1}));
+  builder.add_segment_staged(SegHeader{0x01020304, 0x0a0b0c0d, 0, 3, 3},
+                             bytes_of({0xc1, 0xc2, 0xc3}));
+  PacketView staged = std::move(builder).finish();
+  EXPECT_EQ(staged.copied_bytes(), 6u);
+  EXPECT_EQ(staged.to_bytes(), bytes_of({
+      0x4e, 0x4d, 0x01, 0x01, 0x03, 0x00, 0x00, 0x00,  // "NM", v1, kData, 3 segs
+      0x06, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload_len 6
+      0x01, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,  // seg 0: tag 1, msg_seq 2,
+      0x00, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00, 0x00,  //   offset 0, len 2,
+      0x02, 0x00, 0x00, 0x00,                          //   total_len 2
+      0x02, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00,  // seg 1: tag 2, msg_seq 5,
+      0x04, 0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00,  //   offset 4, len 1,
+      0x09, 0x00, 0x00, 0x00,                          //   total_len 9
+      0x04, 0x03, 0x02, 0x01, 0x0d, 0x0c, 0x0b, 0x0a,  // seg 2: tag, msg_seq,
+      0x00, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,  //   offset 0, len 3,
+      0x03, 0x00, 0x00, 0x00,                          //   total_len 3
+      0xa1, 0xa2, 0xb1, 0xc1, 0xc2, 0xc3}));           // staged payloads
 
   BufferPool pool(kControlPacketBytes);
   PacketView req = encode_rdv_req_view(pool, 5, 77, 123456);
-  EXPECT_EQ(req.to_bytes(), legacy_req);
   EXPECT_EQ(req.copied_bytes(), 0u);
+  EXPECT_EQ(req.to_bytes(), bytes_of({
+      0x4e, 0x4d, 0x01, 0x02, 0x01, 0x00, 0x00, 0x00,  // "NM", v1, kRdvReq, 1 seg
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload_len 0
+      0x05, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00,  // tag 5, msg_seq 77
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // offset 0, len 0
+      0x40, 0xe2, 0x01, 0x00}));                       // total_len 123456
   PacketView ack = encode_rdv_ack_view(pool, 5, 77);
-  EXPECT_EQ(ack.to_bytes(), legacy_ack);
+  EXPECT_EQ(ack.to_bytes(), bytes_of({
+      0x4e, 0x4d, 0x01, 0x03, 0x01, 0x00, 0x00, 0x00,  // "NM", v1, kRdvAck, 1 seg
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // payload_len 0
+      0x05, 0x00, 0x00, 0x00, 0x4d, 0x00, 0x00, 0x00,  // tag 5, msg_seq 77
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,  // offset 0, len 0
+      0x00, 0x00, 0x00, 0x00}));                       // total_len 0
 }
 
 // --------------------------------------------------------------------------
@@ -281,8 +323,8 @@ std::vector<std::byte> sealed_frame(const FrameEnvelope& env,
 }
 
 TEST(FrameEnvelope, SealDecodeRoundTrip) {
-  const auto packet = encode_data_packet(SegHeader{3, 9, 0, 8, 8},
-                                         std::vector<std::byte>(8, std::byte{0xab}));
+  const auto packet = data_packet(SegHeader{3, 9, 0, 8, 8},
+                                  std::vector<std::byte>(8, std::byte{0xab}));
   FrameEnvelope env;
   env.seq = 41;
   env.ack_small = 17;
@@ -319,8 +361,8 @@ TEST(FrameEnvelope, AckOnlyFrameIsEnvelopeSized) {
 }
 
 TEST(FrameEnvelope, EpochRoundTripsAndIsCrcCovered) {
-  const auto packet = encode_data_packet(SegHeader{5, 2, 0, 8, 8},
-                                         std::vector<std::byte>(8, std::byte{0x11}));
+  const auto packet = data_packet(SegHeader{5, 2, 0, 8, 8},
+                                  std::vector<std::byte>(8, std::byte{0x11}));
   FrameEnvelope env;
   env.seq = 7;
   env.epoch = 0xdeadbeef;
@@ -339,8 +381,8 @@ TEST(FrameEnvelope, EpochRoundTripsAndIsCrcCovered) {
 }
 
 TEST(FrameEnvelope, HandshakeAndProbeFramesAreEnvelopeOnly) {
-  const auto packet = encode_data_packet(SegHeader{1, 1, 0, 4, 4},
-                                         std::vector<std::byte>(4, std::byte{9}));
+  const auto packet = data_packet(SegHeader{1, 1, 0, 4, 4},
+                                  std::vector<std::byte>(4, std::byte{9}));
   for (const std::uint8_t flag :
        {kFrameProbe, kFrameProbeReply, kFrameReconnect, kFrameReconnectAck}) {
     FrameEnvelope env;
@@ -363,8 +405,8 @@ TEST(FrameEnvelope, HandshakeAndProbeFramesAreEnvelopeOnly) {
 }
 
 TEST(FrameEnvelope, RejectsTruncationAtEveryCut) {
-  const auto packet = encode_data_packet(SegHeader{1, 1, 0, 4, 4},
-                                         std::vector<std::byte>(4, std::byte{1}));
+  const auto packet = data_packet(SegHeader{1, 1, 0, 4, 4},
+                                  std::vector<std::byte>(4, std::byte{1}));
   FrameEnvelope env;
   env.seq = 1;
   const auto frame = sealed_frame(env, packet);
@@ -377,8 +419,8 @@ TEST(FrameEnvelope, RejectsTruncationAtEveryCut) {
 TEST(FrameEnvelope, RejectsBadMagicAndVersion) {
   FrameEnvelope env;
   env.seq = 1;
-  const auto packet = encode_data_packet(SegHeader{1, 1, 0, 4, 4},
-                                         std::vector<std::byte>(4, std::byte{1}));
+  const auto packet = data_packet(SegHeader{1, 1, 0, 4, 4},
+                                  std::vector<std::byte>(4, std::byte{1}));
   auto bad_magic = sealed_frame(env, packet);
   bad_magic[0] ^= std::byte{0xff};
   EXPECT_FALSE(decode_frame_envelope(bad_magic).has_value());
@@ -389,8 +431,8 @@ TEST(FrameEnvelope, RejectsBadMagicAndVersion) {
 }
 
 TEST(FrameEnvelope, ChecksumCatchesEverySingleBitFlip) {
-  const auto packet = encode_data_packet(SegHeader{2, 7, 0, 16, 16},
-                                         std::vector<std::byte>(16, std::byte{0x5c}));
+  const auto packet = data_packet(SegHeader{2, 7, 0, 16, 16},
+                                  std::vector<std::byte>(16, std::byte{0x5c}));
   FrameEnvelope env;
   env.seq = 3;
   env.ack_small = 2;
@@ -434,7 +476,8 @@ TEST(Wire, RandomizedRoundTripSweep) {
   nmad::util::Xoshiro256 rng(2024);
   for (int round = 0; round < 200; ++round) {
     const auto nseg = 1 + rng.next_below(12);
-    PacketBuilder builder(PacketKind::kData);
+    BufferPool heads, staging;
+    GatherBuilder builder(PacketKind::kData, heads.acquire(), staging.acquire());
     std::vector<SegHeader> headers;
     std::vector<std::vector<std::byte>> payloads;
     for (std::uint64_t i = 0; i < nseg; ++i) {
@@ -445,11 +488,16 @@ TEST(Wire, RandomizedRoundTripSweep) {
                   offset + len + static_cast<std::uint32_t>(rng.next_below(50))};
       std::vector<std::byte> payload(len);
       for (auto& b : payload) b = std::byte(rng.next() & 0xff);
-      builder.add_segment(h, payload);
       headers.push_back(h);
       payloads.push_back(std::move(payload));
+      // Alternate staged (aggregation copy) and referenced segments.
+      if (i % 2 == 0) {
+        builder.add_segment_staged(h, payloads.back());
+      } else {
+        builder.add_segment(h, payloads.back());
+      }
     }
-    const auto wire = std::move(builder).finish();
+    const auto wire = std::move(builder).finish().to_bytes();
     const auto decoded = decode_packet(wire);
     ASSERT_TRUE(decoded.has_value());
     ASSERT_EQ(decoded->segments.size(), nseg);
