@@ -19,6 +19,9 @@ namespace {
 constexpr core::Tag kTagWindow = 0x1000;
 /// Streams: bcast, reduce, barrier, allreduce-combine, allreduce-distribute.
 constexpr std::size_t kTagStreams = 5;
+static_assert(core::kReservedTagBase <=
+                  core::Tag{0xffffffff} - kTagStreams * kTagWindow,
+              "the reserved tag space must hold every collective tag window");
 }  // namespace
 
 // --- CollMetrics ------------------------------------------------------------
@@ -111,11 +114,6 @@ Communicator::Communicator(core::Session& session,
       config_(config) {
   NMAD_ASSERT(!gates_.empty(), "communicator needs at least one rank");
   NMAD_ASSERT(rank_ < gates_.size(), "rank out of range");
-  NMAD_ASSERT(config_.tag_base >= core::kReservedTagBase,
-              "collective tags must live in the reserved tag space");
-  NMAD_ASSERT(config_.tag_base <=
-                  core::Tag{0xffffffff} - kTagStreams * kTagWindow,
-              "tag_base leaves no room for the collective tag windows");
 }
 
 core::Tag Communicator::next_tag(Algo algo, std::size_t stream) {
@@ -127,7 +125,7 @@ core::Tag Communicator::next_tag(Algo algo, std::size_t stream) {
     case Algo::kAllreduce: idx = 3 + stream; break;
   }
   const std::uint32_t instance = instance_[idx]++;
-  return config_.tag_base +
+  return core::kReservedTagBase +
          static_cast<core::Tag>(idx) * kTagWindow + (instance % kTagWindow);
 }
 

@@ -117,9 +117,6 @@ struct CollConfig {
   /// arriving — pipelining down the tree — and each segment is re-split
   /// across rails by the strategy. 0 disables segmentation.
   std::uint32_t segment_bytes = 256 * 1024;
-  /// First tag this communicator may use; must be inside the reserved
-  /// space. Give distinct bases to communicators sharing gates.
-  core::Tag tag_base = core::kReservedTagBase;
   /// Compose two-level hierarchy trees (coll/topology.hpp) when the
   /// communicator carries a non-flat Topology. Off forces the flat
   /// binomial shapes even on heterogeneous worlds — the comparison arm of

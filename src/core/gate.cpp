@@ -115,9 +115,8 @@ void Gate::set_ratios(std::vector<double> weights) {
 }
 
 void Gate::maybe_refresh_ratios(sim::TimeNs now) {
-  const auto& cfg = config_.adaptive;
-  if (!cfg.enabled || failed_) return;
-  if (now - last_ratio_refresh_ < cfg.window_ns) return;
+  if (!config_.adaptive.enabled || failed_) return;
+  if (now - last_ratio_refresh_ < kRatioWindowNs) return;
   last_ratio_refresh_ = now;
   auto derived = estimator_.derive_ratios(prior_mbps_, ratios_, now);
   if (!derived.has_value()) {

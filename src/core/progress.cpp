@@ -43,6 +43,18 @@ constexpr std::size_t kLaneCacheSize = 8;
 thread_local std::array<LaneCacheEntry, kLaneCacheSize> tls_lane_cache{};
 thread_local std::uint32_t tls_lane_cache_clock = 0;
 
+/// Max engine events fired per lock acquisition — bounds how long one
+/// thread holds the world mutex before others get a turn.
+constexpr std::size_t kEngineBatch = 64;
+/// Max submissions popped per lane per drain round — bounds the world
+/// mutex hold time while keeping the round-robin fair across lanes.
+constexpr std::size_t kDrainChunk = 256;
+/// Backoff rounds a progress thread spends waiting on a full completion
+/// ring before spilling to the lane's overflow list. Bounded because the
+/// producer holds the world mutex: an application thread that stopped
+/// draining its ring must cost the engine bounded time.
+constexpr std::size_t kCompletionSpinRounds = 64;
+
 }  // namespace
 
 ProgressMode progress_mode_from_env() {
@@ -171,7 +183,7 @@ bool ProgressEngine::drain_submissions() {
   for (std::uint32_t i = 0; i < n; ++i) {
     ThreadLane& lane = *lanes_[i];
     SubmitOp op;
-    for (std::size_t k = 0; k < cfg_.drain_chunk; ++k) {
+    for (std::size_t k = 0; k < kDrainChunk; ++k) {
       // An empty ring has nothing to pop: leave the lane without touching
       // the in-flight count. Raising it on every idle drain would keep
       // resetting the wait() watchdog's quiet window, and on an
@@ -180,7 +192,7 @@ bool ProgressEngine::drain_submissions() {
       // Account the op as in flight BEFORE popping: between the pop (ring
       // now empty) and submit (engine now busy) the wait() watchdog would
       // otherwise sample the world as quiet — and a drain thread starved
-      // right here for stall_timeout_ms would turn that into a spurious
+      // right here for kWaitStallTimeout would turn that into a spurious
       // deadlock panic. The increment is sequenced before the pop's head
       // release-store, so a waiter that observes the empty ring also
       // observes the in-flight count.
@@ -233,7 +245,7 @@ void ProgressEngine::deliver_completion(const CompletionEvent& ev) {
   }
   CompletionEvent copy = ev;
   const bool pushed = spsc_push_backoff(
-      lane.completion, std::move(copy), cfg_.completion_spin_rounds, [this] {
+      lane.completion, std::move(copy), kCompletionSpinRounds, [this] {
         completion_stalls_.fetch_add(1, std::memory_order_relaxed);
       });
   if (pushed) return;
@@ -305,7 +317,7 @@ void ProgressEngine::thread_main(std::size_t rail) {
       std::lock_guard<std::mutex> guard(*hooks_.lock, std::adopt_lock);
       if (drain_submissions()) progressed = true;
       if (hooks_.engine != nullptr) {
-        for (std::size_t i = 0; i < cfg_.engine_batch; ++i) {
+        for (std::size_t i = 0; i < kEngineBatch; ++i) {
           if (!hooks_.engine->step()) break;
           progressed = true;
         }
@@ -328,7 +340,6 @@ void ProgressEngine::wait(const std::function<bool()>& pred) {
   std::uint32_t round = 0;
   while (!pred()) {
     ring_backoff(++round);
-    if (cfg_.stall_timeout_ms == 0) continue;
     // Deadlock watchdog: "quiet" must hold CONTINUOUSLY for the timeout —
     // a progress thread can be mid-callback with the queues momentarily
     // empty, so one quiet sample proves nothing.
@@ -343,8 +354,7 @@ void ProgressEngine::wait(const std::function<bool()>& pred) {
     if (!quiet) {
       quiet = true;
       quiet_since = now;
-    } else if (now - quiet_since >
-               std::chrono::milliseconds(cfg_.stall_timeout_ms)) {
+    } else if (now - quiet_since > kWaitStallTimeout) {
       NMAD_PANIC(
           "threaded wait stalled: engine idle, submissions drained, predicate "
           "still false (deadlock in the communication pattern?)");

@@ -65,6 +65,7 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -106,6 +107,11 @@ enum class ProgressMode : std::uint8_t {
 /// it panics loudly rather than serializing silently.
 inline constexpr std::size_t kMaxSubmitLanes = 64;
 
+/// wait() panics after this long with the engine idle, all submission
+/// rings empty and its predicate still false (application deadlock — the
+/// serial mode equivalent is run_until() draining the queue).
+inline constexpr std::chrono::milliseconds kWaitStallTimeout{5000};
+
 class ProgressEngine {
  public:
   struct Config {
@@ -113,22 +119,6 @@ class ProgressEngine {
     /// Per-lane ring capacities (rounded up to powers of two).
     std::size_t submission_capacity = 1024;
     std::size_t completion_capacity = 4096;
-    /// Max engine events fired per lock acquisition — bounds how long one
-    /// thread holds the world mutex before others get a turn.
-    std::size_t engine_batch = 64;
-    /// Max submissions popped per lane per drain round — bounds the world
-    /// mutex hold time while keeping the round-robin fair across lanes.
-    std::size_t drain_chunk = 256;
-    /// Backoff rounds a progress thread spends waiting on a full completion
-    /// ring before spilling to the lane's overflow list. Bounded because
-    /// the producer holds the world mutex: an application thread that
-    /// stopped draining its ring must cost the engine bounded time.
-    std::size_t completion_spin_rounds = 64;
-    /// Panic after this long with the engine idle, all submission rings
-    /// empty and a wait() predicate still false (application deadlock —
-    /// the serial mode equivalent is run_until() draining the queue).
-    /// 0 disables the watchdog.
-    std::uint64_t stall_timeout_ms = 5000;
   };
 
   struct Hooks {
@@ -171,7 +161,7 @@ class ProgressEngine {
 
   /// Block until pred() holds, while progress threads do the work. Panics
   /// if the world goes fully quiet (engine idle, every lane drained) for
-  /// longer than Config::stall_timeout_ms with pred still false.
+  /// longer than kWaitStallTimeout with pred still false.
   void wait(const std::function<bool()>& pred);
 
   /// Pause the progress threads for a burst of submissions: while the

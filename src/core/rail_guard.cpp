@@ -38,7 +38,7 @@ void RailGuard::init(drv::Driver& driver, RailIndex index,
   index_ = index;
   cfg_ = cfg;
   hooks_ = std::move(hooks);
-  jitter_ = util::Xoshiro256(cfg_.jitter_seed + index);
+  jitter_ = util::Xoshiro256(kRtoJitterSeed + index);
   NMAD_ASSERT(hooks_.now && hooks_.credit && hooks_.deliver && hooks_.kick,
               "RailGuard hooks incomplete");
   NMAD_ASSERT(!cfg_.ack_enabled || hooks_.timer != nullptr,
@@ -147,7 +147,7 @@ void RailGuard::post(drv::SendDesc desc, std::vector<strat::Contribution> contri
 
 sim::TimeNs RailGuard::next_rto(std::uint32_t retries) {
   double rto = static_cast<double>(cfg_.rto_ns) *
-               std::pow(cfg_.rto_backoff, static_cast<double>(retries));
+               std::pow(kRtoBackoff, static_cast<double>(retries));
   rto = std::min(rto, static_cast<double>(cfg_.rto_max_ns));
   // +/- jitter/2 around the nominal deadline: parallel rails (and the two
   // peers of one rail) must not retransmit in lockstep.
@@ -200,7 +200,7 @@ void RailGuard::handle_deadlines() {
     }
     tx_[i].deadline = now + next_rto(tx_[i].retries);
     if (state() == RailState::kHealthy &&
-        consecutive_timeouts_ >= cfg_.suspect_after) {
+        consecutive_timeouts_ >= kSuspectAfter) {
       transition(RailState::kSuspect);
     }
     // Retransmit if the track is free; a suspect rail's retransmissions
@@ -381,7 +381,7 @@ void RailGuard::note_ack_needed() {
   // Delay the standalone ack: outgoing data within the window piggybacks
   // the ack for free, which is the common case under load.
   ack_timer_armed_ = true;
-  hooks_.timer(cfg_.ack_delay_ns, [this] {
+  hooks_.timer(kAckDelayNs, [this] {
     ack_timer_armed_ = false;
     if (!alive() || !owes_ack()) return;
     ack_due_ = true;
@@ -498,7 +498,7 @@ void RailGuard::arm_keepalive_timer() {
   // While a probe is outstanding the next decision point is its timeout;
   // otherwise it is the idle threshold.
   const sim::TimeNs delay =
-      probe_sent_at_ != 0 ? cfg_.probe_timeout_ns : cfg_.keepalive_idle_ns;
+      probe_sent_at_ != 0 ? kProbeTimeoutNs : kKeepaliveIdleNs;
   hooks_.timer(delay, [this] { on_keepalive_timer(); });
 }
 
@@ -506,14 +506,14 @@ void RailGuard::on_keepalive_timer() {
   keepalive_timer_armed_ = false;
   if (!alive()) return;  // the reconnect machinery owns dead/probing rails
   const sim::TimeNs now = hooks_.now();
-  if (probe_sent_at_ != 0 && now - probe_sent_at_ >= cfg_.probe_timeout_ns) {
+  if (probe_sent_at_ != 0 && now - probe_sent_at_ >= kProbeTimeoutNs) {
     probe_misses_ += 1;
-    if (probe_misses_ >= cfg_.probe_max_misses) {
+    if (probe_misses_ >= kProbeMaxMisses) {
       die("keepalive probes unanswered");
       return;
     }
     if (state() == RailState::kHealthy &&
-        probe_misses_ >= cfg_.suspect_after) {
+        probe_misses_ >= kSuspectAfter) {
       transition(RailState::kSuspect);
     }
     // Re-probe. A busy (or wedged) track still charges the next window —
@@ -522,7 +522,7 @@ void RailGuard::on_keepalive_timer() {
       metrics.probes_sent.inc();
     }
     probe_sent_at_ = now;
-  } else if (probe_sent_at_ == 0 && now - last_rx_ >= cfg_.keepalive_idle_ns) {
+  } else if (probe_sent_at_ == 0 && now - last_rx_ >= kKeepaliveIdleNs) {
     if (try_send_control(proto::kFrameAckOnly | proto::kFrameProbe, epoch_)) {
       metrics.probes_sent.inc();
     }
@@ -549,7 +549,7 @@ void RailGuard::arm_reconnect_timer() {
   const sim::TimeNs delay = reconnect_delay_;
   // Capped exponential backoff for the attempt after this one.
   const double next = static_cast<double>(reconnect_delay_) *
-                      cfg_.reconnect_backoff_factor;
+                      kReconnectBackoffFactor;
   reconnect_delay_ = static_cast<sim::TimeNs>(
       std::min(next, static_cast<double>(cfg_.reconnect_backoff_max_ns)));
   hooks_.timer(delay, [this] { on_reconnect_timer(); });

@@ -15,9 +15,9 @@
 // Two opt-in extensions close the lifecycle:
 //
 //  - Keepalive probing (`keepalive_enabled`): a rail with no receive
-//    activity for `keepalive_idle_ns` gets envelope-only probe frames;
+//    activity for `kKeepaliveIdleNs` gets envelope-only probe frames;
 //    unanswered probes count as misses and declare the rail dead after
-//    `probe_max_misses` — so a killed link is detected even with zero
+//    `kProbeMaxMisses` — so a killed link is detected even with zero
 //    application traffic.
 //  - Reconnection (`reconnect_enabled`): a dead rail moves to `probing`
 //    and runs an epoch-bumping handshake with capped exponential backoff.

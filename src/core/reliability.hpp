@@ -1,4 +1,4 @@
-// Reliability knobs and the rail health state machine's states.
+// Reliability knobs and constants, and the rail health state machine's states.
 //
 // Kept in a leaf header (no gate/scheduler includes) so StrategyConfig can
 // embed a ReliabilityConfig without cycles.
@@ -59,32 +59,19 @@ struct ReliabilityConfig {
   bool ack_enabled = false;
   /// Initial retransmission timeout.
   sim::TimeNs rto_ns = 2'000'000;
-  /// Exponential backoff factor per retry, capped at rto_max_ns.
-  double rto_backoff = 2.0;
+  /// Backoff cap: each retry multiplies the RTO by kRtoBackoff up to this.
   sim::TimeNs rto_max_ns = 50'000'000;
   /// Retries after which the rail is declared dead.
   std::uint32_t max_retries = 6;
-  /// Consecutive timeouts after which a healthy rail turns suspect.
-  std::uint32_t suspect_after = 2;
-  /// How long a standalone ack may be delayed waiting for a piggyback.
-  sim::TimeNs ack_delay_ns = 200'000;
   /// Uniform jitter applied to each RTO (fraction of the deadline, so
   /// retransmissions of parallel rails do not synchronize).
   double rto_jitter = 0.1;
-  std::uint64_t jitter_seed = 0x9e3779b9;
 
   // --- keepalive probing (requires ack_enabled) ---------------------------
   /// Emit heartbeat probes on rails with no recent receive activity, so a
   /// dead link is detected even with zero application traffic. Off by
   /// default: clean benches and legacy configurations arm no extra timers.
   bool keepalive_enabled = false;
-  /// A rail idle (nothing received) for this long gets a probe frame.
-  sim::TimeNs keepalive_idle_ns = 5'000'000;
-  /// An unanswered probe counts as a miss after this long.
-  sim::TimeNs probe_timeout_ns = 2'000'000;
-  /// Consecutive probe misses before the rail is declared dead
-  /// (suspect_after misses already turn it suspect).
-  std::uint32_t probe_max_misses = 3;
 
   // --- reconnection (requires ack_enabled) --------------------------------
   /// Attempt to resurrect dead rails: revive the driver and run the
@@ -93,13 +80,33 @@ struct ReliabilityConfig {
   bool reconnect_enabled = false;
   /// First reconnect attempt fires this long after death.
   sim::TimeNs reconnect_backoff_ns = 1'000'000;
-  /// Exponential backoff factor between attempts, capped at the max.
-  double reconnect_backoff_factor = 2.0;
+  /// Backoff cap: each failed attempt multiplies the delay by
+  /// kReconnectBackoffFactor up to this.
   sim::TimeNs reconnect_backoff_max_ns = 100'000'000;
   /// Give up after this many attempts; 0 = keep trying forever. Tests use
   /// a finite cap so simulated engines can drain.
   std::uint32_t reconnect_max_attempts = 0;
 };
+
+// Fixed reliability timings, shared by every gate.
+/// Exponential backoff factor per retry, capped at rto_max_ns.
+inline constexpr double kRtoBackoff = 2.0;
+/// Consecutive timeouts (or keepalive probe misses) after which a healthy
+/// rail turns suspect.
+inline constexpr std::uint32_t kSuspectAfter = 2;
+/// How long a standalone ack may be delayed waiting for a piggyback.
+inline constexpr sim::TimeNs kAckDelayNs = 200'000;
+/// Seed of the RTO jitter stream; rail i draws from kRtoJitterSeed + i.
+inline constexpr std::uint64_t kRtoJitterSeed = 0x9e3779b9;
+/// A rail idle (nothing received) for this long gets a keepalive probe.
+inline constexpr sim::TimeNs kKeepaliveIdleNs = 5'000'000;
+/// An unanswered probe counts as a miss after this long.
+inline constexpr sim::TimeNs kProbeTimeoutNs = 2'000'000;
+/// Consecutive probe misses before the rail is declared dead.
+inline constexpr std::uint32_t kProbeMaxMisses = 3;
+/// Exponential backoff factor between reconnect attempts, capped at
+/// reconnect_backoff_max_ns.
+inline constexpr double kReconnectBackoffFactor = 2.0;
 
 /// Online adaptive-striping knobs (consumed by strat/rate_estimator and the
 /// gate's ratio-refresh logic). Kept in this leaf header next to
@@ -111,29 +118,31 @@ struct ReliabilityConfig {
 /// behavior exactly.
 struct AdaptiveConfig {
   bool enabled = false;
-  /// EWMA smoothing factor applied per sample (0 < alpha <= 1).
-  double ewma_alpha = 0.25;
   /// Estimate confidence halves for every such period without a sample.
   sim::TimeNs confidence_halflife_ns = 20'000'000;
-  /// Minimum spacing between two ratio re-derivations (the adaptive
-  /// optimization window).
-  sim::TimeNs window_ns = 500'000;
-  /// Skip installing re-derived ratios unless some rail's normalized
-  /// weight moved by more than this — hysteresis against ratio thrash.
-  double hysteresis = 0.03;
-  /// Weight multiplier for a rail the guard holds in `suspect`: its
-  /// recovery probes keep flowing but new stripes mostly avoid it.
-  double suspect_penalty = 0.25;
-  /// A recovered rail ramps linearly from suspect_penalty back to full
+  /// A recovered rail ramps linearly from kSuspectPenalty back to full
   /// weight over this long, instead of snapping back.
   sim::TimeNs recovery_ramp_ns = 5'000'000;
-  /// Floor on any live rail's normalized weight, so slow rails keep
-  /// carrying probe traffic and the estimator never starves of samples.
-  double min_weight = 0.05;
-  /// Each retransmit timeout multiplies the rail's confidence and EWMA
-  /// bandwidth by this: a silent rail sheds weight *before* the guard's
-  /// state machine declares it suspect or dead.
-  double timeout_penalty = 0.5;
 };
+
+// Fixed adaptive-striping policy, shared by every gate.
+/// EWMA smoothing factor applied per sample (0 < alpha <= 1).
+inline constexpr double kEwmaAlpha = 0.25;
+/// Minimum spacing between two ratio re-derivations (the adaptive
+/// optimization window).
+inline constexpr sim::TimeNs kRatioWindowNs = 500'000;
+/// Skip installing re-derived ratios unless some rail's normalized weight
+/// moved by more than this — hysteresis against ratio thrash.
+inline constexpr double kRatioHysteresis = 0.03;
+/// Weight multiplier for a rail the guard holds in `suspect`: its recovery
+/// probes keep flowing but new stripes mostly avoid it.
+inline constexpr double kSuspectPenalty = 0.25;
+/// Floor on any live rail's normalized weight, so slow rails keep carrying
+/// probe traffic and the estimator never starves of samples.
+inline constexpr double kMinRailWeight = 0.05;
+/// Each retransmit timeout multiplies the rail's confidence and EWMA
+/// bandwidth by this: a silent rail sheds weight *before* the guard's state
+/// machine declares it suspect or dead.
+inline constexpr double kTimeoutPenalty = 0.5;
 
 }  // namespace nmad::core

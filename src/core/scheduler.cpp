@@ -228,13 +228,6 @@ void Scheduler::submit_send(SendHandle req) {
   schedule_pump(g);
 }
 
-SendHandle Scheduler::isend(GateId gate_id, Tag tag,
-                            std::vector<std::span<const std::byte>> segments) {
-  SendHandle req = make_send(gate_id, tag, std::move(segments));
-  submit_send(req);
-  return req;
-}
-
 RecvHandle Scheduler::make_recv(GateId gate_id, Tag tag,
                                 std::span<std::byte> buffer) {
   NMAD_ASSERT(gate_id < gates_.size(), "unknown gate id");
@@ -269,12 +262,6 @@ void Scheduler::submit_recv(RecvHandle req) {
     g.incoming_[key].recv = req.get();
   }
   schedule_pump(g);
-}
-
-RecvHandle Scheduler::irecv(GateId gate_id, Tag tag, std::span<std::byte> buffer) {
-  RecvHandle req = make_recv(gate_id, tag, buffer);
-  submit_recv(req);
-  return req;
 }
 
 // --------------------------------------------------------------------------

@@ -6,12 +6,12 @@
 // that the optimizing scheduler is queried for some new packet."
 //
 // Concretely: request processing is fully disconnected from the API calls.
-// isend/irecv only append to the strategy backlog and to the matching
-// tables; packets are produced exclusively by pump(), which fires whenever
-// a NIC track reports idle (send completion) or a packet arrives. The
-// scheduler also owns the mechanics shared by all strategies: small/large
-// classification, the rendezvous handshake, receive matching, unexpected
-// messages, reassembly, and completion accounting.
+// submit_send/submit_recv only append to the strategy backlog and to the
+// matching tables; packets are produced exclusively by pump(), which fires
+// whenever a NIC track reports idle (send completion) or a packet arrives.
+// The scheduler also owns the mechanics shared by all strategies:
+// small/large classification, the rendezvous handshake, receive matching,
+// unexpected messages, reassembly, and completion accounting.
 #pragma once
 
 #include <cstdint>
@@ -118,29 +118,25 @@ class Scheduler {
   [[nodiscard]] Gate& gate(GateId id);
   [[nodiscard]] std::size_t gate_count() const noexcept { return gates_.size(); }
 
-  /// Submit a message made of `segments` (a logically contiguous sequence
-  /// of user-memory views). The user memory must stay valid until the
-  /// returned request completes. Equivalent to make_send + submit_send.
-  SendHandle isend(GateId gate, Tag tag,
-                   std::vector<std::span<const std::byte>> segments);
-
-  /// Post a receive for the next message with `tag` on `gate`. `buffer`
-  /// must be at least as large as the matching message. Equivalent to
-  /// make_recv + submit_recv.
-  RecvHandle irecv(GateId gate, Tag tag, std::span<std::byte> buffer);
-
-  // --- split submission (threaded progression) ----------------------------
-  // make_* builds and stamps the request without touching any gate or
-  // scheduler mutable state (the request metrics are atomic), so it is safe
-  // on the application thread with progress threads live. submit_* binds
-  // the per-(gate, tag) sequence number and hands the request to the
+  // --- submission ----------------------------------------------------------
+  // A request is submitted in two steps, in serial and threaded mode
+  // alike. make_* builds and stamps the request without touching any gate
+  // or scheduler mutable state (the request metrics are atomic), so it is
+  // safe on the application thread with progress threads live. submit_*
+  // binds the per-(gate, tag) sequence number and hands the request to the
   // strategy; it must run on the progression engine (under its lock in
   // threaded mode). Requests must reach submit_* in make_* order per
   // thread — the SPSC submission ring preserves exactly that, which keeps
   // matching order equal to application post order.
+
+  /// A message made of `segments` (a logically contiguous sequence of
+  /// user-memory views). The user memory must stay valid until the
+  /// returned request completes.
   [[nodiscard]] SendHandle make_send(
       GateId gate, Tag tag, std::vector<std::span<const std::byte>> segments);
   void submit_send(SendHandle req);
+  /// A receive for the next message with `tag` on `gate`. `buffer` must be
+  /// at least as large as the matching message.
   [[nodiscard]] RecvHandle make_recv(GateId gate, Tag tag,
                                      std::span<std::byte> buffer);
   void submit_recv(RecvHandle req);

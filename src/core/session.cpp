@@ -96,21 +96,23 @@ SendHandle Session::isend(GateId gate, Tag tag, std::span<const std::byte> data)
 
 SendHandle Session::isend_segments(GateId gate, Tag tag,
                                    std::vector<std::span<const std::byte>> segments) {
+  SendHandle h = scheduler_.make_send(gate, tag, std::move(segments));
   if (progress_engine_ != nullptr) {
-    SendHandle h = scheduler_.make_send(gate, tag, std::move(segments));
     progress_engine_->submit(h);
-    return h;
+  } else {
+    scheduler_.submit_send(h);
   }
-  return scheduler_.isend(gate, tag, std::move(segments));
+  return h;
 }
 
 RecvHandle Session::irecv(GateId gate, Tag tag, std::span<std::byte> buffer) {
+  RecvHandle h = scheduler_.make_recv(gate, tag, buffer);
   if (progress_engine_ != nullptr) {
-    RecvHandle h = scheduler_.make_recv(gate, tag, buffer);
     progress_engine_->submit(h);
-    return h;
+  } else {
+    scheduler_.submit_recv(h);
   }
-  return scheduler_.irecv(gate, tag, buffer);
+  return h;
 }
 
 RecvHandle Session::post_unpack(GateId gate, Tag tag,

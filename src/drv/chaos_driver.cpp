@@ -67,7 +67,7 @@ void ChaosDriver::on_inner_deliver(Track track, std::span<const std::byte> wire)
     stats_.drops += 1;
     return;
   }
-  Held held{track, std::vector<std::byte>(wire.begin(), wire.end()), 0};
+  Held held{track, std::vector<std::byte>(wire.begin(), wire.end())};
   if (p.corrupt > 0.0 && !held.wire.empty() &&
       rng_.next_double() < p.corrupt) {
     // Flip one random bit in one random byte: the classic single-event
@@ -76,30 +76,21 @@ void ChaosDriver::on_inner_deliver(Track track, std::span<const std::byte> wire)
     held.wire[at] ^= std::byte(1u << rng_.next_below(8));
     stats_.corruptions += 1;
   }
-  if (p.delay > 0.0 && rng_.next_double() < p.delay) {
-    held.delay_rounds = 1;
-    stats_.delays += 1;
-  }
   if (p.duplicate > 0.0 && rng_.next_double() < p.duplicate) {
-    pending_.push_back(Held{held.track, held.wire, held.delay_rounds});
+    pending_.push_back(held);
     stats_.duplicates += 1;
   }
   pending_.push_back(std::move(held));
-  if (pending_.size() >= cfg_.window) release_all(true);
+  if (pending_.size() >= cfg_.window) release_all();
 }
 
-void ChaosDriver::release_all(bool honor_delays) {
+void ChaosDriver::release_all() {
   std::shuffle(pending_.begin(), pending_.end(), rng_);
   // Swap out first: a deliver upcall may trigger sends whose completions
   // append new pending packets.
   std::vector<Held> batch;
   batch.swap(pending_);
-  for (Held& held : batch) {
-    if (honor_delays && held.delay_rounds > 0) {
-      held.delay_rounds -= 1;
-      pending_.push_back(std::move(held));
-      continue;
-    }
+  for (const Held& held : batch) {
     NMAD_ASSERT(deliver_ != nullptr, "chaos delivery with no upcall");
     deliver_(held.track, std::span<const std::byte>(held.wire));
   }
@@ -126,11 +117,10 @@ bool ChaosDriver::flap_down_now() {
   if (!cfg_.flap.enabled) return false;
   const sim::TimeNs now = cfg_.clock();
   if (now < cfg_.flap.start_ns) return false;
-  if (cfg_.flap.stop_ns != 0 && now >= cfg_.flap.stop_ns) return false;
   const auto draw_window = [this](sim::TimeNs mean) {
     const double scaled =
         static_cast<double>(mean) *
-        (1.0 + cfg_.flap.jitter * (flap_rng_.next_double() - 0.5));
+        (1.0 + kFlapJitter * (flap_rng_.next_double() - 0.5));
     return std::max<sim::TimeNs>(1, static_cast<sim::TimeNs>(scaled));
   };
   if (!flap_initialized_) {
@@ -140,7 +130,7 @@ bool ChaosDriver::flap_down_now() {
     flap_next_edge_ = cfg_.flap.start_ns + draw_window(cfg_.flap.up_ns);
   }
   // Advance the alternating up/down schedule to `now`. Each window length
-  // is its mean ± jitter/2, drawn from the dedicated flap stream — the
+  // is its mean ± kFlapJitter/2, drawn from the dedicated flap stream — the
   // boundaries depend only on the seed, never on traffic timing.
   while (now >= flap_next_edge_) {
     flap_down_ = !flap_down_;
@@ -152,7 +142,7 @@ bool ChaosDriver::flap_down_now() {
 }
 
 void ChaosDriver::flush() {
-  while (!pending_.empty()) release_all(false);
+  while (!pending_.empty()) release_all();
 }
 
 void ChaosDriver::register_metrics(obs::MetricsRegistry& registry,
@@ -162,7 +152,6 @@ void ChaosDriver::register_metrics(obs::MetricsRegistry& registry,
   registry.add_raw(prefix + "chaos.drops", &stats_.drops);
   registry.add_raw(prefix + "chaos.duplicates", &stats_.duplicates);
   registry.add_raw(prefix + "chaos.corruptions", &stats_.corruptions);
-  registry.add_raw(prefix + "chaos.delays", &stats_.delays);
   registry.add_raw(prefix + "chaos.swallowed_sends", &stats_.swallowed_sends);
   registry.add_raw(prefix + "chaos.discarded_recvs", &stats_.discarded_recvs);
   registry.add_raw(prefix + "chaos.revives", &stats_.revives);

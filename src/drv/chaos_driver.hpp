@@ -3,9 +3,9 @@
 //
 // Historically this only scrambled delivery *order* (matching, rendezvous
 // and reassembly must be order-independent). It has since grown into a full
-// seeded fault injector: per-track probabilities of dropping, duplicating,
-// corrupting (single byte flip) and delaying received frames, plus a hard
-// kill() that silences the rail in both directions mid-run. Packet loss is
+// seeded fault injector: per-track probabilities of dropping, duplicating
+// and corrupting (single byte flip) received frames, plus a hard kill()
+// that silences the rail in both directions mid-run. Packet loss is
 // decidedly *in* scope now — the frame envelope (proto/wire.hpp), per-rail
 // ack/retransmit and the rail health state machine (core/rail_guard.hpp)
 // exist precisely so that every fault injected here is either healed by
@@ -42,7 +42,6 @@ struct FaultProfile {
   double drop = 0.0;       ///< discard the frame entirely
   double duplicate = 0.0;  ///< deliver the frame twice
   double corrupt = 0.0;    ///< flip one random byte before delivery
-  double delay = 0.0;      ///< hold the frame across one extra release round
 };
 
 /// A seeded schedule of link-down windows. While a window is down, every
@@ -53,17 +52,18 @@ struct FaultProfile {
 /// models an asymmetric partition; flapping both models a symmetric one.
 struct FlapSpec {
   bool enabled = false;
-  /// Mean lengths of the alternating up/down windows.
+  /// Mean lengths of the alternating up/down windows; each window's length
+  /// is jittered by +/- kFlapJitter/2 of its mean.
   sim::TimeNs up_ns = 10'000'000;
   sim::TimeNs down_ns = 3'000'000;
-  /// Per-window uniform jitter (fraction of the mean, +/- jitter/2), drawn
-  /// from a dedicated RNG stream so the schedule is a pure function of the
-  /// chaos seed regardless of traffic.
-  double jitter = 0.5;
-  /// Flapping is active in [start_ns, stop_ns); stop_ns = 0 never stops.
+  /// Flapping starts at start_ns and never stops.
   sim::TimeNs start_ns = 0;
-  sim::TimeNs stop_ns = 0;
 };
+
+/// Per-window uniform jitter of a flap schedule (fraction of the mean),
+/// drawn from a dedicated RNG stream so the schedule is a pure function of
+/// the chaos seed regardless of traffic.
+inline constexpr double kFlapJitter = 0.5;
 
 struct ChaosConfig {
   /// Deliveries are buffered until this many frames are pending, then
@@ -128,7 +128,7 @@ class ChaosDriver final : public Driver {
   /// then release recovery at a deterministic point.
   void set_revivable(bool revivable) noexcept { revivable_ = revivable; }
 
-  /// Release every buffered frame (in scrambled order, delays ignored).
+  /// Release every buffered frame (in scrambled order).
   void flush();
 
   [[nodiscard]] std::size_t buffered() const noexcept { return pending_.size(); }
@@ -138,7 +138,6 @@ class ChaosDriver final : public Driver {
     std::uint64_t drops = 0;
     std::uint64_t duplicates = 0;
     std::uint64_t corruptions = 0;
-    std::uint64_t delays = 0;
     std::uint64_t swallowed_sends = 0;   ///< posts discarded after kill()
     std::uint64_t discarded_recvs = 0;   ///< deliveries discarded after kill()
     std::uint64_t revives = 0;           ///< kill switches cleared
@@ -153,7 +152,7 @@ class ChaosDriver final : public Driver {
 
  private:
   void on_inner_deliver(Track track, std::span<const std::byte> wire);
-  void release_all(bool honor_delays);
+  void release_all();
 
   Driver* inner_;
   util::Xoshiro256 rng_;
@@ -172,8 +171,6 @@ class ChaosDriver final : public Driver {
   struct Held {
     Track track;
     std::vector<std::byte> wire;
-    /// Release rounds this frame still sits out (delay injection).
-    std::uint32_t delay_rounds = 0;
   };
   std::vector<Held> pending_;
   Stats stats_;

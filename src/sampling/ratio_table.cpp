@@ -1,10 +1,11 @@
 #include "sampling/ratio_table.hpp"
 
-#include "util/fmt.hpp"
+#include <cmath>
 #include <fstream>
 #include <numeric>
 #include <sstream>
 
+#include "util/fmt.hpp"
 #include "util/panic.hpp"
 
 namespace nmad::sampling {
@@ -42,6 +43,7 @@ util::Expected<RatioTable> RatioTable::parse(const std::string& text) {
     return util::make_error("bad sampling cache header");
   }
   std::vector<RailSample> samples;
+  double total_mbps = 0.0;
   while (std::getline(in, line)) {
     if (line.empty() || line[0] == '#') continue;
     std::istringstream fields(line);
@@ -54,7 +56,15 @@ util::Expected<RatioTable> RatioTable::parse(const std::string& text) {
     if (s.slope_us_per_byte <= 0.0) {
       return util::make_error("non-positive slope in sampling cache");
     }
+    // Extraction above already fails on inf, nan and overflowing fields,
+    // but a denormal slope passes the sign check and its bandwidth
+    // overflows; weights() would then divide inf by inf. The running total
+    // must stay finite too, or every normalized weight collapses to 0.
     s.bandwidth_mbps = 1.0 / s.slope_us_per_byte;
+    total_mbps += s.bandwidth_mbps;
+    if (!std::isfinite(total_mbps)) {
+      return util::make_error("sampling cache bandwidth is not finite");
+    }
     samples.push_back(std::move(s));
   }
   if (samples.empty()) return util::make_error("empty sampling cache");

@@ -24,8 +24,6 @@ void st(std::atomic<double>& a, double v) {
 RateEstimator::RateEstimator(std::size_t rails, core::AdaptiveConfig cfg)
     : cfg_(cfg), rails_(rails) {
   NMAD_ASSERT(rails > 0, "estimator needs at least one rail");
-  NMAD_ASSERT(cfg_.ewma_alpha > 0.0 && cfg_.ewma_alpha <= 1.0,
-              "ewma_alpha must be in (0, 1]");
   NMAD_ASSERT(cfg_.confidence_halflife_ns > 0, "confidence halflife must be > 0");
 }
 
@@ -43,7 +41,7 @@ void RateEstimator::bump_confidence(RailEst& r, sim::TimeNs now) {
   // Decay to now, then move toward 1 by one EWMA step: a steady sample
   // stream converges to full confidence, a stale estimate fades.
   const double c = decayed_conf(r, now);
-  st(r.conf, c + cfg_.ewma_alpha * (1.0 - c));
+  st(r.conf, c + core::kEwmaAlpha * (1.0 - c));
   r.last_event.store(now, std::memory_order_relaxed);
   r.nsamples.fetch_add(1, std::memory_order_relaxed);
   r.c_samples.inc();
@@ -65,7 +63,7 @@ void RateEstimator::note_transfer(core::RailIndex rail, std::uint64_t bytes,
   // smooth alpha would take ~1/alpha samples to catch up — and an
   // under-weighted rail produces few samples. Double the step for >=2x
   // deviations so regime changes converge in a couple of observations.
-  double alpha = cfg_.ewma_alpha;
+  double alpha = core::kEwmaAlpha;
   if (prev > 0.0 && (mbps > 2.0 * prev || mbps < 0.5 * prev)) {
     alpha = std::min(2.0 * alpha, 0.75);
   }
@@ -82,7 +80,7 @@ void RateEstimator::note_rtt(core::RailIndex rail, sim::TimeNs rtt,
   const double sample = static_cast<double>(std::max<sim::TimeNs>(rtt, 1));
   const double prev = ld(r.rtt_ns);
   const double next =
-      prev <= 0.0 ? sample : prev + cfg_.ewma_alpha * (sample - prev);
+      prev <= 0.0 ? sample : prev + core::kEwmaAlpha * (sample - prev);
   st(r.rtt_ns, next);
   bump_confidence(r, now);
   r.g_rtt_us.set(static_cast<std::int64_t>(next / 2000.0));
@@ -94,8 +92,8 @@ void RateEstimator::note_timeout(core::RailIndex rail, sim::TimeNs now) {
   // A timeout is *evidence*, not absence of data: decay both what we
   // believe (bandwidth) and how much we believe it (confidence), so the
   // rail sheds split weight before the guard's state machine reacts.
-  st(r.conf, decayed_conf(r, now) * cfg_.timeout_penalty);
-  st(r.bw_mbps, ld(r.bw_mbps) * cfg_.timeout_penalty);
+  st(r.conf, decayed_conf(r, now) * core::kTimeoutPenalty);
+  st(r.bw_mbps, ld(r.bw_mbps) * core::kTimeoutPenalty);
   r.last_event.store(now, std::memory_order_relaxed);
   r.g_bandwidth_mbps.set(static_cast<std::int64_t>(ld(r.bw_mbps)));
   r.g_confidence_pct.set(static_cast<std::int64_t>(ld(r.conf) * 100.0));
@@ -142,7 +140,7 @@ double RateEstimator::health_factor(const RailEst& r, sim::TimeNs now) const {
     case core::RailState::kProbing:  // carries no traffic until the handshake
       return 0.0;
     case core::RailState::kSuspect:
-      return cfg_.suspect_penalty;
+      return core::kSuspectPenalty;
     case core::RailState::kHealthy:
       break;
   }
@@ -153,7 +151,7 @@ double RateEstimator::health_factor(const RailEst& r, sim::TimeNs now) const {
   }
   const double frac = static_cast<double>(now - rec) /
                       static_cast<double>(cfg_.recovery_ramp_ns);
-  return cfg_.suspect_penalty + (1.0 - cfg_.suspect_penalty) * frac;
+  return core::kSuspectPenalty + (1.0 - core::kSuspectPenalty) * frac;
 }
 
 double RateEstimator::effective_rate(core::RailIndex rail, double prior_mbps,
@@ -191,8 +189,8 @@ std::optional<std::vector<double>> RateEstimator::derive_ratios(
     const auto state = static_cast<core::RailState>(
         rails_[i].state.load(std::memory_order_relaxed));
     if (state != core::RailState::kDead && state != core::RailState::kProbing &&
-        next[i] < cfg_.min_weight) {
-      next[i] = cfg_.min_weight;
+        next[i] < core::kMinRailWeight) {
+      next[i] = core::kMinRailWeight;
       floored = true;
     }
   }
@@ -206,7 +204,7 @@ std::optional<std::vector<double>> RateEstimator::derive_ratios(
   for (std::size_t i = 0; i < rails_.size(); ++i) {
     max_delta = std::max(max_delta, std::abs(next[i] - current[i]));
   }
-  if (max_delta <= cfg_.hysteresis) return std::nullopt;
+  if (max_delta <= core::kRatioHysteresis) return std::nullopt;
   return next;
 }
 

@@ -51,7 +51,6 @@ class RateEstimator {
  public:
   RateEstimator(std::size_t rails, core::AdaptiveConfig cfg);
 
-  [[nodiscard]] const core::AdaptiveConfig& config() const noexcept { return cfg_; }
   [[nodiscard]] std::size_t rail_count() const noexcept { return rails_.size(); }
 
   // --- sample intake (progression engine only) -----------------------------
@@ -90,7 +89,7 @@ class RateEstimator {
   /// `prior_mbps` carries the boot-time ratios scaled to MB/s currency;
   /// `current` is the currently installed normalized ratio vector. Returns
   /// nullopt when hysteresis holds the current ratios (no rail's weight
-  /// moved by more than cfg.hysteresis).
+  /// moved by more than core::kRatioHysteresis).
   [[nodiscard]] std::optional<std::vector<double>> derive_ratios(
       std::span<const double> prior_mbps, std::span<const double> current,
       sim::TimeNs now) const;

@@ -12,6 +12,7 @@
 
 #include "core/platform.hpp"
 #include "drv/sim_driver.hpp"
+#include "obs/metrics.hpp"
 #include "sim/net_scenario.hpp"
 
 namespace {
@@ -75,7 +76,32 @@ TEST(AdaptiveStriping, StaticNetworkKeepsBootRatios) {
   for (int i = 0; i < 20; ++i) run_wave(p);
   // Hysteresis parks the ratios: steady estimates near the prior never
   // clear the install threshold, so there is no thrash to measure.
-  EXPECT_NEAR(gate.ratio(0), boot_myri, gate.estimator().config().hysteresis);
+  EXPECT_NEAR(gate.ratio(0), boot_myri, kRatioHysteresis);
+}
+
+// Re-derivations are spaced at least kRatioWindowNs apart: a call one
+// nanosecond short of the window is skipped, one at the window runs. Each
+// re-derivation either installs (ratio_updates) or holds (ratio_holds);
+// with metrics compiled out the counters read 0 and only the calls run.
+TEST(AdaptiveStriping, RatioRefreshIsSpacedByTheWindow) {
+  TwoNodePlatform p(adaptive_platform(true));
+  Gate& gate = p.a().scheduler().gate(p.gate_ab());
+  const auto refreshes = [&gate] {
+    return gate.adaptive_metrics.ratio_updates.value() +
+           gate.adaptive_metrics.ratio_holds.value();
+  };
+  const std::uint64_t before = refreshes();
+  const sim::TimeNs t0 = 10 * kRatioWindowNs;
+  gate.maybe_refresh_ratios(t0);
+  const std::uint64_t after_first = refreshes();
+  gate.maybe_refresh_ratios(t0 + kRatioWindowNs - 1);
+  const std::uint64_t after_early = refreshes();
+  gate.maybe_refresh_ratios(t0 + kRatioWindowNs);
+  if constexpr (obs::kMetricsEnabled) {
+    EXPECT_EQ(after_first, before + 1);
+    EXPECT_EQ(after_early, before + 1);
+    EXPECT_EQ(refreshes(), before + 2);
+  }
 }
 
 TEST(AdaptiveStriping, DisabledEstimatorStillObservesButNeverInstalls) {

@@ -103,9 +103,7 @@ TEST(RateEstimator, RttSamplesPublishOneWayLatency) {
 }
 
 TEST(RateEstimator, TimeoutDecaysBothBandwidthAndConfidence) {
-  auto cfg = test_cfg();
-  cfg.timeout_penalty = 0.5;
-  RateEstimator est(1, cfg);
+  RateEstimator est(1, test_cfg());
   sim::TimeNs now = 0;
   for (int i = 0; i < 40; ++i) {
     now += 100'000;
@@ -120,16 +118,14 @@ TEST(RateEstimator, TimeoutDecaysBothBandwidthAndConfidence) {
 }
 
 TEST(RateEstimator, SuspectRailIsDownWeightedBeforeDeath) {
-  auto cfg = test_cfg();
-  cfg.suspect_penalty = 0.25;
-  RateEstimator est(1, cfg);
+  RateEstimator est(1, test_cfg());
   sim::TimeNs now = 1'000'000;
   feed_mbps(est, 0, 1000.0, now);
 
   const double healthy = est.effective_rate(0, 1000.0, now);
   est.note_state(0, core::RailState::kSuspect, now);
   const double suspect = est.effective_rate(0, 1000.0, now);
-  EXPECT_NEAR(suspect, healthy * cfg.suspect_penalty, 1.0);
+  EXPECT_NEAR(suspect, healthy * core::kSuspectPenalty, 1.0);
 
   est.note_state(0, core::RailState::kDead, now);
   EXPECT_EQ(est.effective_rate(0, 1000.0, now), 0.0);
@@ -137,7 +133,6 @@ TEST(RateEstimator, SuspectRailIsDownWeightedBeforeDeath) {
 
 TEST(RateEstimator, RecoveryRampsWeightBackGradually) {
   auto cfg = test_cfg();
-  cfg.suspect_penalty = 0.25;
   cfg.recovery_ramp_ns = 10'000'000;
   RateEstimator est(1, cfg);
   const sim::TimeNs t0 = 1'000'000;
@@ -219,9 +214,7 @@ TEST(RateEstimator, HysteresisHoldsRatiosUnderNoisySamples) {
 }
 
 TEST(RateEstimator, MinWeightFloorKeepsProbeTrafficFlowing) {
-  auto cfg = test_cfg();
-  cfg.min_weight = 0.05;
-  RateEstimator est(2, cfg);
+  RateEstimator est(2, test_cfg());
   const std::array<double, 2> prior{1000.0, 1000.0};
   const std::vector<double> current{0.5, 0.5};
 
@@ -235,7 +228,7 @@ TEST(RateEstimator, MinWeightFloorKeepsProbeTrafficFlowing) {
   }
   auto next = est.derive_ratios(prior, current, now);
   ASSERT_TRUE(next.has_value());
-  EXPECT_NEAR((*next)[0], cfg.min_weight, 0.01);
+  EXPECT_NEAR((*next)[0], core::kMinRailWeight, 0.01);
   EXPECT_NEAR((*next)[0] + (*next)[1], 1.0, 1e-9);
 }
 

@@ -118,11 +118,8 @@ ReliabilityConfig deterministic_cfg() {
   ReliabilityConfig cfg;
   cfg.ack_enabled = true;
   cfg.rto_ns = 1'000'000;  // 1 ms
-  cfg.rto_backoff = 2.0;
   cfg.rto_max_ns = 8'000'000;
   cfg.max_retries = 6;
-  cfg.suspect_after = 2;
-  cfg.ack_delay_ns = 200'000;
   cfg.rto_jitter = 0.0;  // exact deadlines for the assertions below
   return cfg;
 }
@@ -189,7 +186,7 @@ TEST(RailGuard, RetransmitsVerbatimUntilAckedThenCredits) {
   h.run_to(1'100'000);
   ASSERT_EQ(h.drv.posted.size(), 2u);
   EXPECT_EQ(h.drv.posted[1].bytes, h.drv.posted[0].bytes);
-  EXPECT_TRUE(h.guard.healthy());  // one timeout < suspect_after
+  EXPECT_TRUE(h.guard.healthy());  // one timeout < kSuspectAfter
 
   // Second consecutive timeout (backoff doubled the deadline): suspect.
   h.run_to(3'200'000);
@@ -290,14 +287,14 @@ TEST(RailGuard, OutOfOrderFramesAllDeliverAndAckAdvancesContiguously) {
   h.guard.on_frame(drv::Track::kSmall, f1);
   EXPECT_EQ(h.delivered.size(), 2u);
   // Ack after {1,3}: only seq 1 is contiguous.
-  h.run_to(deterministic_cfg().ack_delay_ns + 1);
+  h.run_to(kAckDelayNs + 1);
   const auto env_a = proto::decode_frame_envelope(h.drv.posted.back().bytes);
   ASSERT_TRUE(env_a.has_value());
   EXPECT_EQ(env_a->ack_small, 1u);
   // The hole fills: the cumulative ack jumps to 3.
   h.guard.on_frame(drv::Track::kSmall, f2);
   EXPECT_EQ(h.delivered.size(), 3u);
-  h.run_to(h.now + deterministic_cfg().ack_delay_ns + 1);
+  h.run_to(h.now + kAckDelayNs + 1);
   const auto env_b = proto::decode_frame_envelope(h.drv.posted.back().bytes);
   ASSERT_TRUE(env_b.has_value());
   EXPECT_EQ(env_b->ack_small, 3u);
@@ -347,10 +344,9 @@ TEST(RailGuard, AckDisabledKeepsLegacyLocalCompletionSemantics) {
 
 ReliabilityConfig keepalive_cfg() {
   auto cfg = deterministic_cfg();
+  // Fixed timings: a probe after kKeepaliveIdleNs (5 ms) of silence, one
+  // miss per kProbeTimeoutNs (2 ms), dead after kProbeMaxMisses (3).
   cfg.keepalive_enabled = true;
-  cfg.keepalive_idle_ns = 5'000'000;  // 5 ms idle before the first probe
-  cfg.probe_timeout_ns = 2'000'000;   // 2 ms per unanswered probe
-  cfg.probe_max_misses = 3;
   return cfg;
 }
 
@@ -358,7 +354,6 @@ ReliabilityConfig reconnect_cfg() {
   auto cfg = deterministic_cfg();
   cfg.reconnect_enabled = true;
   cfg.reconnect_backoff_ns = 1'000'000;
-  cfg.reconnect_backoff_factor = 2.0;
   cfg.reconnect_backoff_max_ns = 8'000'000;
   cfg.reconnect_max_attempts = 5;  // finite: the harness timer wheel drains
   return cfg;

@@ -5,6 +5,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 
 #include "core/platform.hpp"
 #include "sampling/ratio_table.hpp"
@@ -62,6 +63,26 @@ TEST(Platform, SampledRatiosInstalledOnGates) {
   EXPECT_EQ(p.now(), 0);
 }
 
+TEST(Platform, InvalidSamplingCacheIsRemeasured) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "nmad_denormal_slope.cache")
+          .string();
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "# nmad sampling cache v1\n"
+           "myri 3.0 1.0 1e-320 1.0\n"
+           "quad 2.0 1.0 1e-3 1.0\n";
+  }
+  core::PlatformConfig cfg = core::paper_platform("split_balance");
+  cfg.sampled_ratios = true;
+  cfg.sampling_cache_path = path;
+  core::TwoNodePlatform p(std::move(cfg));
+  EXPECT_NEAR(p.a().scheduler().gate(p.gate_ab()).ratio(0), 0.585, 0.02);
+  // The fresh measurement replaced the invalid cache.
+  EXPECT_TRUE(RatioTable::load(path).has_value());
+  std::remove(path.c_str());
+}
+
 TEST(RatioTable, SerializeParseRoundTrip) {
   const netmodel::HostProfile host;
   RatioTable table(sample_rails(host, host, {netmodel::myri10g(),
@@ -92,6 +113,22 @@ TEST(RatioTable, ParseRejectsMalformedInput) {
   EXPECT_FALSE(
       RatioTable::parse("# nmad sampling cache v1\nmyri 1.0 2.0 -3.0e-4 1.0\n")
           .has_value());  // negative slope
+  // Non-finite fields.
+  EXPECT_FALSE(
+      RatioTable::parse("# nmad sampling cache v1\nmyri inf 1.0 1e-3 1.0\n")
+          .has_value());
+  EXPECT_FALSE(
+      RatioTable::parse("# nmad sampling cache v1\nmyri 3.0 nan 1e-3 1.0\n")
+          .has_value());
+  // A denormal slope is positive, but its bandwidth (1/slope) is inf.
+  EXPECT_FALSE(
+      RatioTable::parse("# nmad sampling cache v1\nmyri 3.0 1.0 1e-320 1.0\n")
+          .has_value());
+  // Each bandwidth is finite (1e308 MB/s), but their sum is not.
+  EXPECT_FALSE(RatioTable::parse("# nmad sampling cache v1\n"
+                                 "myri 3.0 1.0 1e-308 1.0\n"
+                                 "quad 2.0 1.0 1e-308 1.0\n")
+                   .has_value());
 }
 
 TEST(RatioTable, ParseSkipsCommentsAndBlankLines) {
