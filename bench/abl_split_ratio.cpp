@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "harness.hpp"
+#include "sampling/ratio_table.hpp"
 #include "sampling/sampler.hpp"
 
 using namespace nmad;
@@ -41,8 +42,10 @@ int main() {
   }
 
   const core::PlatformConfig paper = core::paper_platform("split_balance");
-  const std::vector<double> sampled = sampling::measure_rail_weights(
-      paper.host_a, paper.host_b, paper.links);
+  const std::vector<double> sampled =
+      sampling::RatioTable(
+          sampling::sample_rails(paper.host_a, paper.host_b, paper.links))
+          .weights();
   const double sampled_bw = bandwidth_with_ratio(sampled[0], "sampled-ratio");
   std::printf("\n# sampled myri share: %.3f -> %.2f MB/s (sweep best: %.2f at %.2f)\n\n",
               sampled[0], sampled_bw, best_bw, best_ratio);

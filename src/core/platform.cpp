@@ -271,25 +271,10 @@ MultiNodeConfig two_node_config(const PlatformConfig& config) {
 TwoNodePlatform::TwoNodePlatform(PlatformConfig config)
     : config_(std::move(config)), platform_(two_node_config(config_)) {
   if (!config_.sampled_ratios) return;
-  std::vector<double> weights;
-  bool from_cache = false;
-  if (!config_.sampling_cache_path.empty()) {
-    if (auto table = sampling::RatioTable::load(config_.sampling_cache_path);
-        table && table->samples().size() == config_.links.size()) {
-      weights = table->weights();
-      from_cache = true;
-    }
-  }
-  if (!from_cache) {
-    const auto samples =
-        sampling::sample_rails(config_.host_a, config_.host_b, config_.links);
-    sampling::RatioTable table(samples);
-    weights = table.weights();
-    if (!config_.sampling_cache_path.empty()) {
-      // Best effort: an unwritable cache only costs re-measuring next run.
-      (void)table.save(config_.sampling_cache_path);
-    }
-  }
+  const std::vector<double> weights =
+      sampling::RatioTable(
+          sampling::sample_rails(config_.host_a, config_.host_b, config_.links))
+          .weights();
   // Threaded sessions started their progress threads when they were
   // created, so the ratios go in under the world progress mutex.
   std::unique_lock<std::mutex> guard;

@@ -42,11 +42,6 @@ struct PlatformConfig {
   /// §3.4 initialization step. Without it, ratios default to the drivers'
   /// nominal capability bandwidths.
   bool sampled_ratios = false;
-  /// Optional sampling cache file (real nmad persists its sampling data):
-  /// when set and sampled_ratios is true, a valid cache with one entry per
-  /// rail is loaded instead of re-measuring, and fresh measurements are
-  /// saved back to it.
-  std::string sampling_cache_path;
   /// Progression mode. kDefault follows NMAD_PROGRESS_MODE (else serial);
   /// pin kSerial explicitly in tests that rely on serial determinism
   /// (aggregation-window counts, exact event traces) so they stay correct

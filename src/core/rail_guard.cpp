@@ -122,27 +122,31 @@ void RailGuard::post(drv::SendDesc desc, std::vector<strat::Contribution> contri
 
   const drv::Track track = tx_.back().track;
   driver_->post_send(make_alias(tx_.back()), [this, seq, track] {
-    for (auto it = tx_.begin(); it != tx_.end(); ++it) {
-      if (it->seq != seq || it->track != track) continue;
-      it->in_flight = false;
-      it->locally_done = true;
-      if (estimator_ != nullptr && track == drv::Track::kLarge &&
-          it->retries == 0) {
-        // First-transmission DMA completion: a clean bandwidth sample.
-        const sim::TimeNs now = hooks_.now();
-        estimator_->note_transfer(index_, it->desc.wire_size(),
-                                  now - it->posted_at, now);
-      }
-      if (it->acked) {
-        const auto done = std::move(it->contribs);
-        tx_.erase(it);
-        hooks_.credit(done);
-      }
-      break;
-    }
-    hooks_.kick();
+    on_local_completion(seq, track);
   });
   arm_retransmit_timer();
+}
+
+void RailGuard::on_local_completion(std::uint32_t seq, drv::Track track) {
+  for (auto it = tx_.begin(); it != tx_.end(); ++it) {
+    if (it->seq != seq || it->track != track) continue;
+    it->in_flight = false;
+    it->locally_done = true;
+    if (estimator_ != nullptr && track == drv::Track::kLarge &&
+        it->retries == 0) {
+      // First-transmission DMA completion: a clean bandwidth sample.
+      const sim::TimeNs now = hooks_.now();
+      estimator_->note_transfer(index_, it->desc.wire_size(),
+                                now - it->posted_at, now);
+    }
+    if (it->acked) {
+      const auto done = std::move(it->contribs);
+      tx_.erase(it);
+      hooks_.credit(done);
+    }
+    break;
+  }
+  hooks_.kick();
 }
 
 sim::TimeNs RailGuard::next_rto(std::uint32_t retries) {
@@ -214,18 +218,7 @@ void RailGuard::handle_deadlines() {
       const std::uint32_t seq = tx_[i].seq;
       const drv::Track track = tx_[i].track;
       driver_->post_send(std::move(alias), [this, seq, track] {
-        for (auto it = tx_.begin(); it != tx_.end(); ++it) {
-          if (it->seq != seq || it->track != track) continue;
-          it->in_flight = false;
-          it->locally_done = true;
-          if (it->acked) {
-            const auto contribs = std::move(it->contribs);
-            tx_.erase(it);
-            hooks_.credit(contribs);
-          }
-          break;
-        }
-        hooks_.kick();
+        on_local_completion(seq, track);
       });
     }
   }

@@ -218,6 +218,10 @@ class RailGuard {
   void seal(drv::SendDesc& desc, std::uint8_t flags, std::uint32_t seq,
             std::uint32_t epoch);
   [[nodiscard]] drv::SendDesc make_alias(const TxEntry& entry) const;
+  /// Local send completion of retained frame (seq, track), first
+  /// transmission or retransmit: credits it if already acked, and takes an
+  /// estimator sample only when it was never retransmitted.
+  void on_local_completion(std::uint32_t seq, drv::Track track);
   void process_acks(const proto::FrameEnvelope& env);
   bool apply_ack(drv::Track track, std::uint32_t upto);
   [[nodiscard]] bool rx_accept(drv::Track track, std::uint32_t seq);

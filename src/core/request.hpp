@@ -11,7 +11,8 @@
 // the request. The state is therefore an atomic, written with release and
 // read with acquire ordering so everything the engine wrote before settling
 // (received bytes in the user buffer, received_len_, completion_time_) is
-// visible to the application once done() returns true. The auxiliary cells
+// visible to the application once done() returns true — for a scatter
+// receive that includes the copy into its segments. The auxiliary cells
 // (bytes_sent_, received_len_, completion_time_, seq_) are relaxed atomics:
 // they are single-writer (the progression engine, serialized by its lock)
 // and carry no synchronization duty of their own.
@@ -115,6 +116,9 @@ class RecvRequest {
  public:
   RecvRequest(Tag tag, std::span<std::byte> buffer)
       : tag_(tag), buffer_(buffer) {}
+  /// Scatter receive: the message lands in a staging buffer the request
+  /// owns and is copied into `segments`, in order, when it completes.
+  RecvRequest(Tag tag, std::vector<std::span<std::byte>> segments);
 
   [[nodiscard]] Tag tag() const noexcept { return tag_; }
   /// Receive ordinal for this (gate, tag) stream (assigned at submission).
@@ -167,6 +171,9 @@ class RecvRequest {
   Tag tag_;
   std::atomic<MsgSeq> seq_{0};
   std::span<std::byte> buffer_;
+  /// Scatter receives only: the storage behind buffer_ and its targets.
+  std::vector<std::byte> staging_;
+  std::vector<std::span<std::byte>> scatter_;
   std::atomic<std::uint32_t> received_len_{0};
   std::atomic<RequestState> state_{RequestState::kPending};
   std::atomic<sim::TimeNs> completion_time_{-1};

@@ -230,8 +230,17 @@ void Scheduler::submit_send(SendHandle req) {
 
 RecvHandle Scheduler::make_recv(GateId gate_id, Tag tag,
                                 std::span<std::byte> buffer) {
+  return stamp_recv(gate_id, std::make_shared<RecvRequest>(tag, buffer));
+}
+
+RecvHandle Scheduler::make_recv(GateId gate_id, Tag tag,
+                                std::vector<std::span<std::byte>> segments) {
+  return stamp_recv(gate_id,
+                    std::make_shared<RecvRequest>(tag, std::move(segments)));
+}
+
+RecvHandle Scheduler::stamp_recv(GateId gate_id, RecvHandle req) {
   NMAD_ASSERT(gate_id < gates_.size(), "unknown gate id");
-  auto req = std::make_shared<RecvRequest>(tag, buffer);
   req->note_submit_time(now_());
   req->note_gate(gate_id);
   metrics_.recvs_posted.inc();

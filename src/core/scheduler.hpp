@@ -139,6 +139,10 @@ class Scheduler {
   /// at least as large as the matching message.
   [[nodiscard]] RecvHandle make_recv(GateId gate, Tag tag,
                                      std::span<std::byte> buffer);
+  /// A receive scattered into `segments` (see RecvRequest): they must
+  /// together be at least as large as the matching message.
+  [[nodiscard]] RecvHandle make_recv(GateId gate, Tag tag,
+                                     std::vector<std::span<std::byte>> segments);
   void submit_recv(RecvHandle req);
 
   /// Install the settled-request observer (nullptr to remove). Installed
@@ -197,6 +201,8 @@ class Scheduler {
                            std::span<const std::byte> payload);
   void handle_rdv_req(Gate& gate, const proto::SegHeader& h);
   void handle_rdv_ack(Gate& gate, const proto::SegHeader& h);
+  /// make_recv's shared tail: gate check, submit stamp, posted counter.
+  RecvHandle stamp_recv(GateId gate, RecvHandle req);
   void bind_recv(Gate& gate, Gate::Incoming& inc, RecvRequest* recv);
   void ensure_assembly(Gate::Incoming& inc);
   /// Completes the receive and drops the incoming entry when both the data

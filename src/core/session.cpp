@@ -1,6 +1,5 @@
 #include "core/session.hpp"
 
-#include <cstring>
 #include <utility>
 
 #include "core/progress.hpp"
@@ -29,7 +28,8 @@ UnpackBuilder& UnpackBuilder::add(std::span<std::byte> segment) {
 RecvHandle UnpackBuilder::submit() {
   NMAD_ASSERT(!submitted_, "UnpackBuilder submitted twice");
   submitted_ = true;
-  return session_->post_unpack(gate_, tag_, std::move(segments_));
+  return session_->submit_recv(
+      session_->scheduler_.make_recv(gate_, tag_, std::move(segments_)));
 }
 
 Session::Session(std::string name, Scheduler::ClockFn clock,
@@ -106,43 +106,16 @@ SendHandle Session::isend_segments(GateId gate, Tag tag,
 }
 
 RecvHandle Session::irecv(GateId gate, Tag tag, std::span<std::byte> buffer) {
-  RecvHandle h = scheduler_.make_recv(gate, tag, buffer);
+  return submit_recv(scheduler_.make_recv(gate, tag, buffer));
+}
+
+RecvHandle Session::submit_recv(RecvHandle h) {
   if (progress_engine_ != nullptr) {
     progress_engine_->submit(h);
   } else {
     scheduler_.submit_recv(h);
   }
   return h;
-}
-
-RecvHandle Session::post_unpack(GateId gate, Tag tag,
-                                std::vector<std::span<std::byte>> segments) {
-  std::size_t total = 0;
-  for (const auto& s : segments) total += s.size();
-
-  PendingUnpack pending;
-  pending.staging = std::make_shared<std::vector<std::byte>>(total);
-  pending.segments = std::move(segments);
-  pending.handle = irecv(gate, tag, *pending.staging);
-  RecvHandle handle = pending.handle;
-  pending_unpacks_.push_back(std::move(pending));
-  return handle;
-}
-
-void Session::scatter_ready_unpacks() {
-  std::erase_if(pending_unpacks_, [](PendingUnpack& p) {
-    if (!p.handle->completed()) return false;
-    std::size_t offset = 0;
-    const std::vector<std::byte>& staging = *p.staging;
-    const std::size_t received = p.handle->received_len();
-    for (const auto& seg : p.segments) {
-      if (offset >= received) break;
-      const std::size_t n = std::min(seg.size(), received - offset);
-      std::memcpy(seg.data(), staging.data() + offset, n);
-      offset += n;
-    }
-    return true;
-  });
 }
 
 void Session::wait(const SendHandle& h) {
@@ -161,7 +134,6 @@ void Session::wait(const RecvHandle& h) {
     progress_([&] { return h->done(); });
   }
   NMAD_ASSERT(h->done(), "wait returned with incomplete recv (deadlock?)");
-  scatter_ready_unpacks();
 }
 
 void Session::wait_all(std::span<const SendHandle> sends,
@@ -183,7 +155,6 @@ void Session::wait_all(std::span<const SendHandle> sends,
     progress_(all_done);
   }
   NMAD_ASSERT(all_done(), "wait_all returned with incomplete requests (deadlock?)");
-  scatter_ready_unpacks();
 }
 
 }  // namespace nmad::core

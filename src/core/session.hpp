@@ -52,7 +52,8 @@ class PackBuilder {
 class UnpackBuilder {
  public:
   UnpackBuilder& add(std::span<std::byte> segment);
-  /// Post the receive; completion scatters the payload into the segments.
+  /// Post the receive. The segments hold the payload once the request
+  /// completes (test() or wait() observes it).
   RecvHandle submit();
 
  private:
@@ -178,16 +179,8 @@ class Session {
  private:
   friend class UnpackBuilder;
 
-  /// Scatter bookkeeping for unpack receives: the message lands in a
-  /// contiguous staging buffer, then is copied into the user segments when
-  /// the application waits on (or tests) the handle.
-  struct PendingUnpack {
-    RecvHandle handle;
-    std::shared_ptr<std::vector<std::byte>> staging;
-    std::vector<std::span<std::byte>> segments;
-  };
-  RecvHandle post_unpack(GateId gate, Tag tag, std::vector<std::span<std::byte>> segments);
-  void scatter_ready_unpacks();
+  /// Hand a made receive to the scheduler or the progression engine.
+  RecvHandle submit_recv(RecvHandle h);
 
   std::string name_;
   Scheduler scheduler_;
@@ -195,7 +188,6 @@ class Session {
   /// Live only in threaded mode. Declared after scheduler_ so it is
   /// destroyed (threads joined, completion hook removed) first.
   std::unique_ptr<ProgressEngine> progress_engine_;
-  std::vector<PendingUnpack> pending_unpacks_;
 };
 
 }  // namespace nmad::core

@@ -1,41 +1,21 @@
-// Persistent sampling results. Real NewMadeleine stores its sampling data
-// on disk so initialization does not re-measure every run; this mirrors
-// that with a small text format:
-//
-//   # nmad sampling cache v1
-//   <rail-name> <latency_us> <intercept_us> <slope_us_per_byte> <r2>
+// Split ratios from boot-time samples: each rail's weight is its share of
+// the summed measured bulk bandwidths.
 #pragma once
 
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "sampling/sampler.hpp"
-#include "util/expected.hpp"
 
 namespace nmad::sampling {
 
 class RatioTable {
  public:
-  RatioTable() = default;
   explicit RatioTable(std::vector<RailSample> samples)
       : samples_(std::move(samples)) {}
 
-  [[nodiscard]] const std::vector<RailSample>& samples() const noexcept {
-    return samples_;
-  }
-  [[nodiscard]] bool empty() const noexcept { return samples_.empty(); }
-
   /// Normalized per-rail stripping weights (bandwidth shares).
   [[nodiscard]] std::vector<double> weights() const;
-
-  /// Serialize to the cache text format.
-  [[nodiscard]] std::string serialize() const;
-  /// Parse the cache text format.
-  static util::Expected<RatioTable> parse(const std::string& text);
-
-  /// File round-trip helpers.
-  util::Status save(const std::string& path) const;
-  static util::Expected<RatioTable> load(const std::string& path);
 
  private:
   std::vector<RailSample> samples_;

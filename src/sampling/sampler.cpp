@@ -1,7 +1,5 @@
 #include "sampling/sampler.hpp"
 
-#include <numeric>
-
 #include "core/platform.hpp"
 #include "sim/time.hpp"
 #include "util/panic.hpp"
@@ -74,19 +72,6 @@ std::vector<RailSample> sample_rails(
     samples.push_back(std::move(sample));
   }
   return samples;
-}
-
-std::vector<double> measure_rail_weights(
-    const netmodel::HostProfile& host_a, const netmodel::HostProfile& host_b,
-    const std::vector<netmodel::NicProfile>& links) {
-  const std::vector<RailSample> samples = sample_rails(host_a, host_b, links);
-  std::vector<double> weights;
-  weights.reserve(samples.size());
-  for (const RailSample& s : samples) weights.push_back(s.bandwidth_mbps);
-  const double total = std::accumulate(weights.begin(), weights.end(), 0.0);
-  NMAD_ASSERT(total > 0.0, "sampling produced zero total bandwidth");
-  for (double& w : weights) w /= total;
-  return weights;
 }
 
 }  // namespace nmad::sampling

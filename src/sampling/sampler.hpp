@@ -7,7 +7,7 @@
 // from the same host/NIC profiles): a small-message ping for latency and a
 // sweep of bulk transfers fitted to T(s) = intercept + slope * s. The
 // reciprocal slopes — the rails' effective bulk bandwidths — become the
-// stripping weights.
+// stripping weights (RatioTable::weights, sampling/ratio_table.hpp).
 #pragma once
 
 #include <cstdint>
@@ -37,11 +37,5 @@ std::vector<std::uint64_t> sampling_sizes();
 std::vector<RailSample> sample_rails(const netmodel::HostProfile& host_a,
                                      const netmodel::HostProfile& host_b,
                                      const std::vector<netmodel::NicProfile>& links);
-
-/// Convenience: normalized stripping weights (one per rail, summing to 1),
-/// derived from sample_rails bandwidths.
-std::vector<double> measure_rail_weights(
-    const netmodel::HostProfile& host_a, const netmodel::HostProfile& host_b,
-    const std::vector<netmodel::NicProfile>& links);
 
 }  // namespace nmad::sampling

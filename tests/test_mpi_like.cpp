@@ -127,6 +127,32 @@ TEST(MpiLike, RejectsTagsInReservedSpace) {
   EXPECT_EQ(buf, data);
 }
 
+TEST(MpiLike, ToPeerAddressesAnExplicitRank) {
+  // Rank 0's default peer is rank 1; to_peer(2) sends to rank 2 instead,
+  // and rank 2 receives from rank 0 through to_peer(0).
+  core::MultiNodeConfig cfg;
+  cfg.nodes = 3;
+  core::MultiNodePlatform platform(cfg);
+  api::Communicator rank0(platform.session(0), platform.gates_from(0), 0);
+  api::Communicator rank2(platform.session(2), platform.gates_from(2), 2);
+
+  api::Communicator to2 = rank0.to_peer(2);
+  api::Communicator from0 = rank2.to_peer(0);
+  EXPECT_EQ(rank0.gate(), platform.gate(0, 1));
+  EXPECT_EQ(to2.gate(), platform.gate(0, 2));
+  EXPECT_EQ(from0.gate(), platform.gate(2, 0));
+
+  std::vector<int> data(256);
+  std::iota(data.begin(), data.end(), 0);
+  std::vector<int> out(256, -1);
+  api::MpiRequest recv = from0.irecv(std::span<int>(out), 5);
+  to2.send(std::span<const int>(data), 5);
+  recv.wait();
+  EXPECT_EQ(recv.status().bytes, 256u * sizeof(int));
+  EXPECT_EQ(recv.status().tag, 5u);
+  EXPECT_EQ(out, data);
+}
+
 TEST(MpiLike, NPartyBarrierSynchronizesAllRanks) {
   // Four ranks, threaded progression, one app thread per rank blocking in
   // barrier().

@@ -1,12 +1,13 @@
-// Session-level odds and ends: test(), scatter receives shorter than the
-// registered segments, the sampling cache wiring, and deadlock detection.
+// Session-level odds and ends: test(), scatter receives (shorter than the
+// registered segments, filled by completion, posted from several threads)
+// and deadlock detection.
 #include <gtest/gtest.h>
 
-#include <filesystem>
+#include <algorithm>
 #include <stdexcept>
+#include <thread>
 
 #include "core/platform.hpp"
-#include "sampling/ratio_table.hpp"
 #include "util/panic.hpp"
 
 namespace {
@@ -49,55 +50,59 @@ TEST(Session, UnpackScattersShorterMessageIntoLeadingSegments) {
   EXPECT_EQ(out2[50], std::byte{0});  // beyond the message: untouched
 }
 
-TEST(Session, SamplingCacheWrittenAndReused) {
-  namespace fs = std::filesystem;
-  const std::string path =
-      (fs::temp_directory_path() / "nmad_platform_cache_test.txt").string();
-  std::error_code ec;
-  fs::remove(path, ec);
+TEST(Session, UnpackSegmentsAreFilledWhenTestReportsCompletion) {
+  // The receiver never waits on the unpack: test() alone must not report
+  // completion before the segments hold the payload.
+  TwoNodePlatform p(pin_serial(paper_platform("single_rail")));
+  std::vector<std::byte> payload(150, std::byte{0x5e});
+  std::vector<std::byte> out1(100, std::byte{0}), out2(100, std::byte{0});
 
-  // First platform: measures and writes the cache.
-  {
-    PlatformConfig cfg = paper_platform("split_balance");
-    cfg.sampled_ratios = true;
-    cfg.sampling_cache_path = path;
-    TwoNodePlatform p(std::move(cfg));
-    EXPECT_NEAR(p.a().scheduler().gate(p.gate_ab()).ratio(0), 0.585, 0.02);
-  }
-  ASSERT_TRUE(fs::exists(path));
+  auto unpack = p.b().unpack(p.gate_ba(), 0);
+  unpack.add(out1).add(out2);
+  auto recv = unpack.submit();
+  auto send = p.a().isend(p.gate_ab(), 0, payload);
+  p.a().wait(send);
+  p.world().engine().run();
 
-  // Replace the cache with distinguishable fake ratios: a second platform
-  // must *load* them instead of re-measuring.
-  {
-    auto table = sampling::RatioTable::parse(
-        "# nmad sampling cache v1\n"
-        "myri10g 2.8 10.0 1.0e-03 1.0\n"     // 1000 MB/s
-        "quadrics 1.7 10.0 1.0e-03 1.0\n");  // 1000 MB/s -> 50/50 ratios
-    ASSERT_TRUE(table.has_value());
-    ASSERT_TRUE(table->save(path).has_value());
+  ASSERT_TRUE(Session::test(recv));
+  EXPECT_EQ(recv->received_len(), 150u);
+  EXPECT_EQ(out1, std::vector<std::byte>(100, std::byte{0x5e}));
+  EXPECT_EQ(out2[0], std::byte{0x5e});
+  EXPECT_EQ(out2[49], std::byte{0x5e});
+  EXPECT_EQ(out2[50], std::byte{0});
+}
 
-    PlatformConfig cfg = paper_platform("split_balance");
-    cfg.sampled_ratios = true;
-    cfg.sampling_cache_path = path;
-    TwoNodePlatform p(std::move(cfg));
-    EXPECT_NEAR(p.a().scheduler().gate(p.gate_ab()).ratio(0), 0.5, 1e-9);
-  }
+TEST(Session, ConcurrentUnpacksOnOneThreadedSession) {
+  // Two app threads post unpack receives on b's session at once and poll
+  // them with test(): posting must not race, and each completion must
+  // already carry the scattered bytes.
+  PlatformConfig cfg = paper_platform("aggreg_greedy");
+  cfg.progress_mode = ProgressMode::kThreaded;
+  TwoNodePlatform p(std::move(cfg));
+  constexpr int kMessages = 40;
 
-  // A cache with the wrong rail count is ignored (re-measured).
-  {
-    auto table = sampling::RatioTable::parse(
-        "# nmad sampling cache v1\n"
-        "myri10g 2.8 10.0 1.0e-03 1.0\n");
-    ASSERT_TRUE(table.has_value());
-    ASSERT_TRUE(table->save(path).has_value());
-
-    PlatformConfig cfg = paper_platform("split_balance");
-    cfg.sampled_ratios = true;
-    cfg.sampling_cache_path = path;
-    TwoNodePlatform p(std::move(cfg));
-    EXPECT_NEAR(p.a().scheduler().gate(p.gate_ab()).ratio(0), 0.585, 0.02);
-  }
-  fs::remove(path, ec);
+  auto worker = [&p](Tag tag) {
+    for (int i = 0; i < kMessages; ++i) {
+      const auto fill = static_cast<std::byte>(100 * tag + i);
+      std::vector<std::byte> payload(300, fill);
+      std::vector<std::byte> out1(128, std::byte{0}), out2(256, std::byte{0});
+      auto unpack = p.b().unpack(p.gate_ba(), tag);
+      unpack.add(out1).add(out2);
+      auto recv = unpack.submit();
+      auto send = p.a().isend(p.gate_ab(), tag, payload);
+      while (!Session::test(recv)) std::this_thread::yield();
+      EXPECT_EQ(recv->received_len(), 300u);
+      EXPECT_EQ(out1, std::vector<std::byte>(128, fill));
+      EXPECT_TRUE(std::all_of(out2.begin(), out2.begin() + 172,
+                              [fill](std::byte b) { return b == fill; }));
+      EXPECT_EQ(out2[172], std::byte{0});  // beyond the message: untouched
+      p.a().wait(send);
+    }
+  };
+  std::thread t1(worker, Tag{1});
+  std::thread t2(worker, Tag{2});
+  t1.join();
+  t2.join();
 }
 
 TEST(Session, WaitOnUnmatchableRequestPanics) {
